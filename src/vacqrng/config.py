@@ -106,8 +106,7 @@ class PipelineConfig:
             block_size_n=self.block_size_n, interval_a=self.interval_a,
             interval_b=self.interval_b, step_c=self.step_c,
             dac_bits_n=self.dac_bits, dac_init=self.dac_init,
-            invert_loop=self.invert_loop,
-            discard_unlocked=self.discard_unlocked)
+            invert_loop=self.invert_loop)
 
     def extractor_params(self) -> ExtractorParams:
         return ExtractorParams(m=self.extractor_m, n=self.extractor_n,

@@ -23,8 +23,8 @@ import numpy as np
 from .errors import ParameterError
 from .optics import DeviceParams
 from .signal_chain import (AdcSpec, DacSpec, SignalChainState,
-                           adc_quantize, adc_saturation_count,
-                           advance_drift, dac_to_phase, detector_block)
+                           adc_convert, advance_drift, dac_to_phase,
+                           detector_block)
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class ControllerConfig:
     dac_bits_n: int = 14
     dac_init: int = 8092
     invert_loop: bool = False
-    discard_unlocked: bool = False
 
     def __post_init__(self) -> None:
         if self.block_size_n < 1:
@@ -180,8 +179,8 @@ def run_closed_loop(params: DeviceParams, chain: SignalChainState,
     for i in range(n_blocks):
         phase = dac_to_phase(state.dac_data, dac, params.v_pi)
         volts = detector_block(params, chain, phase, cfg.block_size_n)
-        codes = adc_quantize(volts, adc)
-        saturated = adc_saturation_count(volts, adc) > 0
+        codes, clipped = adc_convert(volts, adc)
+        saturated = clipped > 0
         dac_before = state.dac_data
         block, new_state = process_block(codes, cfg, state, saturated=saturated)
         if frozen:

@@ -258,17 +258,15 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
         _write_json(out / "entropy.json", payload, config)
         artifacts["entropy"] = out / "entropy.json"
 
-        # Extraction: unlocked blocks feed it unless configured away, but
-        # saturated blocks never do; a railed block centers to a constant
-        # stream that would dilute the output with known bits.
+        # Extraction reads the blocks the estimate was made on: unlocked
+        # blocks feed it unless configured away, but saturated blocks never
+        # do; a railed block centers to a constant stream that would dilute
+        # the output with known bits.
         seed = obtain_seed(config)
         save_seed(out / "extractor_seed.bin", seed)
         artifacts["extractor_seed"] = out / "extractor_seed.bin"
-        extract_input = select_centered(
-            blocks_on, trace_on, exclude_saturated=True,
-            discard_unlocked=config.discard_unlocked)
         t0 = time.perf_counter()
-        bits = extract_stream(extract_input, seed, config.extractor_params(),
+        bits = extract_stream(measured, seed, config.extractor_params(),
                               bits_per_sample=config.adc_bits)
         extract_seconds = time.perf_counter() - t0
         extracted_bits = int(bits.size)
@@ -361,7 +359,8 @@ def benchmark_extractor(params: ExtractorParams | None = None,
     seed = generate_test_seed(params, seed_value)
     blocks = rng.integers(0, 2, size=(n_blocks, params.n), dtype=np.uint8)
 
-    extract_blocks(blocks[:64], seed, params)  # warm-up / plan caches
+    # Warm-up, so that first-touch page faults fall outside the timing.
+    extract_blocks(blocks[:64], seed, params)
     t0 = time.perf_counter()
     out = extract_blocks(blocks, seed, params)
     fast_s = time.perf_counter() - t0

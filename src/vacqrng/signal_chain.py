@@ -84,15 +84,22 @@ def dac_to_phase(dac_data: int, dac: DacSpec, v_pi: float) -> float:
     return math.pi * voltage / v_pi
 
 
-def adc_quantize(v, adc: AdcSpec):
-    """Quantize detector voltage(s) to ADC codes.
+def adc_convert(v, adc: AdcSpec) -> tuple[np.ndarray, int]:
+    """Quantize detector voltages to ADC codes and count clipped samples.
 
     Mid-tread mapping of [-v_range/2, +v_range/2]:
-    code = clamp(round(v/LSB) + 2^(bits-1), 0, 2^bits - 1).  Out-of-range
-    inputs clip to the end codes (saturation).  Accepts scalars or arrays.
+    code = clamp(round(v/LSB) + 2^(bits-1), 0, 2^bits - 1).  Returns the
+    int64 codes and the number of samples whose ideal code fell outside
+    the range and was clipped to an end code (saturation).
     """
     raw = np.rint(np.asarray(v, dtype=np.float64) / adc.lsb) + adc.mid_code
-    codes = np.clip(raw, 0, adc.max_code).astype(np.int64)
+    clipped = int(np.count_nonzero((raw < 0) | (raw > adc.max_code)))
+    return np.clip(raw, 0, adc.max_code).astype(np.int64), clipped
+
+
+def adc_quantize(v, adc: AdcSpec):
+    """ADC codes of detector voltage(s); accepts scalars or arrays."""
+    codes, _ = adc_convert(v, adc)
     if np.isscalar(v) or np.ndim(v) == 0:
         return int(codes)
     return codes
@@ -100,8 +107,7 @@ def adc_quantize(v, adc: AdcSpec):
 
 def adc_saturation_count(v, adc: AdcSpec) -> int:
     """Number of samples whose ideal code falls outside the ADC range."""
-    raw = np.rint(np.asarray(v, dtype=np.float64) / adc.lsb) + adc.mid_code
-    return int(np.count_nonzero((raw < 0) | (raw > adc.max_code)))
+    return adc_convert(v, adc)[1]
 
 
 @dataclass

@@ -9,9 +9,14 @@ indexing convention
 is the GF(2) dot product of row i with the input block.
 
 Two multiplication strategies are provided: a dense matrix-vector oracle
-(reference), and a fast path that evaluates all rows at once as a linear
-convolution via real FFTs, exact because the integer convolution values
-are far below the float64 roundoff threshold.  The two are bit-identical.
+(reference), and a fast path in the "Method of Four Russians" style
+(Albrecht, Bard & Hart, ACM TOMS 37(1), 2010).  The fast path packs each
+input block into bytes and looks up, for every byte position p, the XOR of
+the eight matrix columns 8p..8p+7 that the byte's set bits select, from a
+table of all 256 such XORs per position built once from the seed.  The
+output is the XOR of those looked-up rows, each holding the m output bits
+packed into 64-bit words.  Only XORs of bits are computed, so the fast
+path is exact by construction and bit-identical to the oracle.
 
 Bit conventions, fixed for all stream and file formats:
   * samples enter the input block least-significant-bit first, samples in
@@ -26,11 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError
 
-_BIT_CHUNK = 1 << 18
+_CHUNK_BLOCKS = 4096  # blocks hashed per extract_stream step
+_WORD = np.dtype("<u8")
 
 
 @dataclass(frozen=True)
@@ -123,32 +129,49 @@ def extract_block(block_bits: np.ndarray, seed: ToeplitzSeed,
 
 
 def extract_blocks(blocks: np.ndarray, seed: ToeplitzSeed,
-                   params: ExtractorParams) -> np.ndarray:
+                   params: ExtractorParams, *,
+                   table: np.ndarray | None = None) -> np.ndarray:
     """Extract many blocks at once: (k, n) bits in, (k, m) bits out.
 
-    output[:, i] = conv(seed, x)[n-1+i] mod 2, evaluated as a circular
-    convolution of size m+n-1 with batched real FFTs: the wrapped-around
-    tail of the linear convolution only lands on indices below n-1,
-    outside the output window.  Convolution values are bounded by 2n, so
-    float64 rounding is orders of magnitude away from flipping a parity.
+    Each block is packed to ceil(n/8) bytes; byte p selects row x[p] of
+    table[p], and the XOR of the selected rows over all byte positions is
+    the packed output.  `table` is `_byte_table(seed, params)`; callers
+    hashing many batches with one seed build it once and pass it in.
     """
-    seed.check_length(params)
-    blocks = np.asarray(blocks, dtype=np.float64)
+    blocks = np.asarray(blocks)
     if blocks.ndim != 2 or blocks.shape[1] != params.n:
         raise ParameterError(f"blocks must have shape (k, {params.n})")
-    m, n = params.m, params.n
-    fft_size = fft.next_fast_len(params.seed_length, real=True)
-    seed_fft = fft.rfft(seed.bits.astype(np.float64), fft_size)
+    if table is None:
+        table = _byte_table(seed, params)
+    # Position-major bytes, so each gather reads one contiguous index row.
+    x = np.ascontiguousarray(
+        np.packbits(blocks, axis=1, bitorder="little").T)
+    acc = np.zeros((blocks.shape[0], table.shape[2]), dtype=_WORD)
+    for p in range(x.shape[0]):
+        acc ^= table[p].take(x[p], axis=0)
+    return np.unpackbits(acc.view(np.uint8), axis=1, count=params.m,
+                         bitorder="little")
 
-    out = np.empty((blocks.shape[0], m), dtype=np.uint8)
-    batch = max(1, (1 << 25) // fft_size)  # ~256 MB of complex scratch max
-    for start in range(0, blocks.shape[0], batch):
-        chunk = blocks[start:start + batch]
-        conv = fft.irfft(fft.rfft(chunk, fft_size, axis=1, workers=-1)
-                         * seed_fft, fft_size, axis=1, workers=-1)
-        out[start:start + batch] = (
-            np.rint(conv[:, n - 1:n - 1 + m]).astype(np.int64) & 1)
-    return out
+
+def _byte_table(seed: ToeplitzSeed, params: ExtractorParams) -> np.ndarray:
+    """T[p, v]: XOR of the matrix columns 8p..8p+7 that byte value v selects.
+
+    Shape (ceil(n/8), 256, ceil(m/64)); each entry holds the m output bits
+    packed LSB-first into little-endian uint64 words.  Column j of the
+    matrix is seed[n-1-j : n-1-j+m], so the length-m seed windows in
+    reverse order are the columns; columns past n and bits past m are 0.
+    """
+    seed.check_length(params)
+    m, n = params.m, params.n
+    positions, words = -(-n // 8), -(-m // 64)
+    columns = np.zeros((8 * positions, 8 * words), dtype=np.uint8)
+    columns[:n, :-(-m // 8)] = np.packbits(
+        sliding_window_view(seed.bits, m)[::-1], axis=1, bitorder="little")
+    columns = columns.view(_WORD).reshape(positions, 8, words)
+    table = np.zeros((positions, 256, words), dtype=_WORD)
+    for b in range(8):
+        table[:, 1 << b:2 << b] = table[:, :1 << b] ^ columns[:, b, None]
+    return table
 
 
 def _check_block(block_bits, params: ExtractorParams) -> np.ndarray:
@@ -160,20 +183,21 @@ def _check_block(block_bits, params: ExtractorParams) -> np.ndarray:
     return x
 
 
-def samples_to_bits(samples, bits_per_sample: int = 12) -> np.ndarray:
-    """Low bits of each two's-complement sample, LSB first, temporal order."""
+def _check_bits_per_sample(bits_per_sample: int) -> None:
     if not 1 <= bits_per_sample <= 16:
         raise ParameterError("bits_per_sample must be in [1, 16]")
+
+
+def samples_to_bits(samples, bits_per_sample: int = 12) -> np.ndarray:
+    """Low bits of each two's-complement sample, LSB first, temporal order."""
+    _check_bits_per_sample(bits_per_sample)
     samples = np.asarray(samples)
-    shifts = np.arange(bits_per_sample, dtype=np.uint16)
-    out = np.empty(samples.size * bits_per_sample, dtype=np.uint8)
-    for start in range(0, samples.size, _BIT_CHUNK):
-        chunk = samples[start:start + _BIT_CHUNK].astype(np.int64)
-        masked = (chunk & ((1 << bits_per_sample) - 1)).astype(np.uint16)
-        bits = (masked[:, None] >> shifts) & 1
-        out[start * bits_per_sample:
-            (start + chunk.size) * bits_per_sample] = bits.reshape(-1)
-    return out
+    if samples.dtype.kind not in "iu":
+        raise ParameterError("samples must be integers")
+    # The low 16 bits of the two's complement, as two little-endian bytes.
+    low = samples.reshape(-1).astype("<u2").view(np.uint8).reshape(-1, 2)
+    bits = np.unpackbits(low, axis=1, bitorder="little")
+    return bits[:, :bits_per_sample].reshape(-1)
 
 
 def extract_stream(centered_samples, seed: ToeplitzSeed,
@@ -183,14 +207,27 @@ def extract_stream(centered_samples, seed: ToeplitzSeed,
 
     Samples are unpacked to bits, grouped into n-bit blocks (trailing
     partial block dropped, never padded), and each block is extracted with
-    the same seed.  Returns the concatenated m-bit outputs.
+    the same seed.  Returns the concatenated m-bit outputs.  Blocks are
+    hashed _CHUNK_BLOCKS at a time, unpacking only the samples each chunk
+    covers, so working memory beyond the output does not grow with the
+    stream.
     """
-    bits = samples_to_bits(centered_samples, bits_per_sample)
-    n_blocks = len(bits) // params.n
-    if n_blocks == 0:
-        return np.zeros(0, dtype=np.uint8)
-    blocks = bits[:n_blocks * params.n].reshape(n_blocks, params.n)
-    return extract_blocks(blocks, seed, params).reshape(-1)
+    _check_bits_per_sample(bits_per_sample)
+    samples = np.asarray(centered_samples).reshape(-1)
+    n = params.n
+    n_blocks = samples.size * bits_per_sample // n
+    out = np.empty((n_blocks, params.m), dtype=np.uint8)
+    table = _byte_table(seed, params)
+    for start in range(0, n_blocks, _CHUNK_BLOCKS):
+        stop = min(start + _CHUNK_BLOCKS, n_blocks)
+        # Chunk edges need not fall on sample edges: unpack the samples
+        # covering bits [start*n, stop*n) and skip the leading partial one.
+        first, skip = divmod(start * n, bits_per_sample)
+        last = -(-stop * n // bits_per_sample)
+        bits = samples_to_bits(samples[first:last], bits_per_sample)
+        blocks = bits[skip:skip + (stop - start) * n].reshape(-1, n)
+        out[start:stop] = extract_blocks(blocks, seed, params, table=table)
+    return out.reshape(-1)
 
 
 def pack_bits(bits) -> bytes:

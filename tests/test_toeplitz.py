@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from vacqrng.errors import ParameterError
-from vacqrng.toeplitz import (ExtractorParams, ToeplitzSeed, extract_block,
+from vacqrng.toeplitz import (_CHUNK_BLOCKS, ExtractorParams, ToeplitzSeed,
+                              extract_block,
                               extract_block_dense, extract_blocks,
                               extract_stream, generate_test_seed, load_seed,
                               pack_bits, samples_to_bits, save_seed,
@@ -90,14 +91,16 @@ class TestExtractBlock:
         assert np.array_equal(left, right)
 
     def test_fast_path_matches_dense_small_sizes(self):
+        # plus one geometry with a padded last output word (m > 64, not a
+        # multiple of 64) and a padded last input byte (n not a multiple of 8)
         rng = np.random.default_rng(9)
-        for m in range(1, 13):
-            for n in range(m, 17):
-                params = ExtractorParams(m=m, n=n)
-                seed = generate_test_seed(params, 1000 * m + n)
-                x = rng.integers(0, 2, size=n, dtype=np.uint8)
-                assert np.array_equal(extract_block(x, seed, params),
-                                      extract_block_dense(x, seed, params))
+        geometries = [(m, n) for m in range(1, 13) for n in range(m, 17)]
+        for m, n in geometries + [(100, 203)]:
+            params = ExtractorParams(m=m, n=n)
+            seed = generate_test_seed(params, 1000 * m + n)
+            x = rng.integers(0, 2, size=n, dtype=np.uint8)
+            assert np.array_equal(extract_block(x, seed, params),
+                                  extract_block_dense(x, seed, params))
 
     def test_fast_path_matches_dense_exhaustive_tiny(self):
         # every seed and every input for a 2x3 extractor
@@ -151,6 +154,22 @@ class TestStream:
         dense = np.concatenate(
             [extract_block_dense(blk, seed, params) for blk in blocks])
         assert np.array_equal(a, dense)
+
+    def test_chunked_stream_matches_dense(self):
+        # more blocks than one chunk, and n = 100 not a multiple of the 12
+        # bits per sample, so chunk edges fall inside a sample
+        params = ExtractorParams(m=48, n=100)
+        seed = generate_test_seed(params, 20)
+        rng = np.random.default_rng(21)
+        samples = rng.integers(-4000, 4000, size=40_003).astype(np.int16)
+        n_blocks = samples.size * 12 // params.n
+        assert n_blocks > _CHUNK_BLOCKS and _CHUNK_BLOCKS * params.n % 12
+        out = extract_stream(samples, seed, params).reshape(-1, params.m)
+        blocks = samples_to_bits(samples)[:n_blocks * params.n]
+        assert out.shape == (n_blocks, params.m)
+        for k, block in enumerate(blocks.reshape(n_blocks, params.n)):
+            assert np.array_equal(out[k],
+                                  extract_block_dense(block, seed, params))
 
     def test_sample_bit_order(self):
         # low 12 bits, LSB first, temporal order; two's complement
