@@ -7,8 +7,8 @@ statistically validates the output bits.
 """
 
 from .config import PipelineConfig, load_config
-from .controller import (ControllerConfig, ControllerState, SampleBlock,
-                         decide, process_block, run_closed_loop)
+from .controller import (ControllerConfig, ControllerState, LoopRun, decide,
+                         run_closed_loop)
 from .entropy import (EntropyReport, build_report, extractor_budget,
                       min_entropy, sample_variance)
 from .errors import (ConfigError, DataError, DegenerateDeviceError,

@@ -25,9 +25,9 @@ from .config import PipelineConfig, load_config
 from .entropy import build_report, extractor_budget, min_entropy_discretized
 from .errors import (ConfigError, DataError, NoExtractableEntropyError,
                      ParameterError)
-from .pipeline import (LoopSummary, benchmark_extractor, obtain_seed,
-                       paper_repro_table, run_pipeline, select_centered,
-                       simulate_run)
+from .pipeline import (LoopSummary, benchmark_extractor, measured_samples,
+                       obtain_seed, paper_repro_table, run_pipeline,
+                       select_centered, simulate_run, write_trace)
 from .stattests import run_suite
 from .toeplitz import extract_stream, pack_bits, save_seed
 
@@ -82,18 +82,14 @@ def _load(args) -> PipelineConfig:
 
 def _cmd_simulate(args) -> int:
     config = _load(args)
-    from .pipeline import _write_trace  # same artifact format as `all`
-
-    blocks, trace = simulate_run(config)
+    run = simulate_run(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_trace(out / "trace.jsonl", trace, config)
-    centered = np.concatenate([b.centered for b in blocks])
-    (out / "centered.i16").write_bytes(centered.astype("<i2").tobytes())
+    write_trace(out / "trace.jsonl", run, config)
+    run.centered.astype("<i2", copy=False).tofile(out / "centered.i16")
     if config.write_raw:
-        raw = np.concatenate([b.codes for b in blocks]).astype("<u2")
-        (out / "raw_codes.u16").write_bytes(raw.tobytes())
-    loop = LoopSummary.from_trace(trace)
+        run.codes.astype("<u2", copy=False).tofile(out / "raw_codes.u16")
+    loop = LoopSummary.from_run(run)
     print(f"{loop.n_blocks} blocks simulated; locked fraction "
           f"{loop.locked_fraction:.4f}; {loop.saturated_blocks} saturated")
     print(f"artifacts in {out}")
@@ -102,12 +98,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     config = _load(args)
-    blocks_on, trace_on = simulate_run(config)
-    blocks_off, trace_off = simulate_run(config, lo_off=True)
-    measured = select_centered(blocks_on, trace_on, exclude_saturated=True,
-                               discard_unlocked=config.discard_unlocked)
-    noise = select_centered(blocks_off, trace_off, exclude_saturated=True,
-                            discard_unlocked=False)
+    measured = measured_samples(config, simulate_run(config))
+    noise = select_centered(simulate_run(config, lo_off=True),
+                            exclude_saturated=True, discard_unlocked=False)
     report = build_report(measured, noise, adc_bits=config.adc_bits)
     budget = extractor_budget(round(report.h_min_per_sample, 2),
                               config.extractor_n // config.adc_bits,
@@ -130,9 +123,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_extract(args) -> int:
     config = _load(args)
-    blocks, trace = simulate_run(config)
-    samples = select_centered(blocks, trace, exclude_saturated=True,
-                              discard_unlocked=config.discard_unlocked)
+    samples = measured_samples(config, simulate_run(config))
     seed = obtain_seed(config)
     bits = extract_stream(samples, seed, config.extractor_params(),
                           bits_per_sample=config.adc_bits)
@@ -154,9 +145,7 @@ def _cmd_test(args) -> int:
             raise DataError(f"cannot read bitstream {args.bits}: {exc}")
         bits = np.unpackbits(raw, bitorder="little")
     else:
-        blocks, trace = simulate_run(config)
-        samples = select_centered(blocks, trace, exclude_saturated=True,
-                                  discard_unlocked=config.discard_unlocked)
+        samples = measured_samples(config, simulate_run(config))
         bits = extract_stream(samples, seed=obtain_seed(config),
                               params=config.extractor_params(),
                               bits_per_sample=config.adc_bits)

@@ -11,20 +11,43 @@ samples.
 Centered samples are kept in half-LSB fixed point (2*code minus the
 rounded doubled mean), which keeps the arithmetic exact in integers while
 retaining one fractional bit of the mean.
+
+A run is one `LoopRun` of arrays with a row or an entry per block: raw
+codes, centered samples, block sums, DAC codes before and after each
+decision, lock and saturation flags.  Its noise is drawn in chunks of
+CHUNK_BLOCKS blocks, each one `standard_normal` fill whose rows hold, per
+block, the N quantum, N electronic and one drift normal that a per-block
+`detector_block` + `advance_drift` pair would draw, in the same stream
+order (see `signal_chain.draw_block_noise`).  The fill is the same stream
+split at block boundaries and every voltage, code and phase is formed with
+the same floating-point operations in the same order, so a seed gives the
+same run, bit for bit, as drawing block by block.  The fill is about half
+of the loop's cost and cannot be split (the ziggurat sampler takes a
+variable number of words per normal), so one worker thread draws chunk
+j + 1 into the second of two preallocated buffers while the caller's
+thread runs the sequential part of chunk j: per block, the mean voltage at
+the current phase, quantization, SUM and `decide`; then, per chunk, the
+saturation flags, the stored codes and the centering in one vectorized
+pass.  numpy releases the GIL while it fills the buffer.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .optics import DeviceParams
-from .signal_chain import (AdcSpec, DacSpec, SignalChainState,
-                           adc_convert, advance_drift, dac_to_phase,
-                           detector_block)
+from .optics import DeviceParams, homodyne_curve
+from .signal_chain import (AdcSpec, DacSpec, SignalChainState, adc_clip,
+                           adc_ideal_codes, block_noise_width, dac_to_phase,
+                           detector_volts, draw_block_noise, drift_phase,
+                           scale_block_noise)
+
+# Blocks per bulk noise draw: large enough to amortize the per-call cost,
+# small enough that the two noise buffers stay at ~1 MB each.
+CHUNK_BLOCKS = 64
 
 
 @dataclass(frozen=True)
@@ -61,29 +84,31 @@ class ControllerState:
 
 
 @dataclass(frozen=True)
-class SampleBlock:
-    """One compensation block: raw codes, their sum, and centered values.
+class LoopRun:
+    """A closed-loop run as arrays, one row or entry per block.
 
-    `centered` is in half-LSB units: 2*code_i - round(2*sum/N), stored as
-    int16.  `saturated` marks blocks containing clipped ADC samples.
+    `codes` are the ADC codes (blocks x N; uint16, uint32 above 16 ADC
+    bits) and `centered` the half-LSB centered samples (blocks x N, int16).
+    `sums` are the block sums, `dac_before` the DAC code the block was
+    measured at and `dac_after` the code after its decision (int64).
+    `locked` marks sums inside [A, B]; `saturated` marks blocks holding
+    clipped ADC samples.
     """
 
     codes: np.ndarray
-    sum: int
     centered: np.ndarray
-    saturated: bool = False
+    sums: np.ndarray
+    dac_before: np.ndarray
+    dac_after: np.ndarray
+    locked: np.ndarray
+    saturated: np.ndarray
 
+    def __len__(self) -> int:
+        return self.sums.size
 
-@dataclass(frozen=True)
-class BlockRecord:
-    """Per-block trace entry of a closed-loop run."""
-
-    index: int
-    sum: int
-    dac_before: int
-    dac_after: int
-    locked: bool
-    saturated: bool
+    def first_locked(self) -> int | None:
+        """Index of the first locked block, None if none locked."""
+        return int(np.argmax(self.locked)) if self.locked.any() else None
 
 
 def initial_state(cfg: ControllerConfig) -> ControllerState:
@@ -118,34 +143,18 @@ def decide(sum_value: int, cfg: ControllerConfig,
                            last_sum=sum_value, locked=False)
 
 
-def center_codes(codes: np.ndarray, block_sum: int) -> np.ndarray:
-    """Half-LSB centered values: 2*code_i - round(2*sum/N)."""
-    n = len(codes)
-    doubled_mean = int(np.rint(2.0 * block_sum / n))
-    centered = 2 * codes.astype(np.int64) - doubled_mean
+def center_codes(codes: np.ndarray, block_sum) -> np.ndarray:
+    """Half-LSB centered values: 2*code_i - round(2*sum/N).
+
+    `codes` is one block with its sum, or blocks x N with one sum per row.
+    """
+    codes = np.asarray(codes)
+    n = codes.shape[-1]
+    doubled_mean = np.rint(2.0 * np.asarray(block_sum) / n).astype(np.int64)
+    centered = 2 * codes.astype(np.int64) - doubled_mean[..., None]
     if centered.size and (centered.max() > 32767 or centered.min() < -32768):
         raise ParameterError("centered values overflow the int16 stream format")
     return centered.astype(np.int16)
-
-
-def process_block(codes: np.ndarray, cfg: ControllerConfig,
-                  state: ControllerState,
-                  saturated: bool = False) -> tuple[SampleBlock, ControllerState]:
-    """Sum a block, run the decision, and produce centered samples.
-
-    The updated DAC code applies from the next block (one-block actuation
-    latency); the returned SampleBlock reflects the block just measured.
-    """
-    codes = np.asarray(codes)
-    if len(codes) != cfg.block_size_n:
-        raise ParameterError(
-            f"expected {cfg.block_size_n} codes, got {len(codes)}")
-    block_sum = int(codes.sum())
-    new_state = decide(block_sum, cfg, state)
-    block = SampleBlock(codes=codes, sum=block_sum,
-                        centered=center_codes(codes, block_sum),
-                        saturated=saturated)
-    return block, new_state
 
 
 def run_closed_loop(params: DeviceParams, chain: SignalChainState,
@@ -153,18 +162,24 @@ def run_closed_loop(params: DeviceParams, chain: SignalChainState,
                     adc: AdcSpec | None = None,
                     dac: DacSpec | None = None,
                     frozen: bool = False,
-                    initial: ControllerState | None = None,
-                    ) -> tuple[list[SampleBlock], list[BlockRecord]]:
+                    initial: ControllerState | None = None) -> LoopRun:
     """Simulate n_blocks compensation periods of the closed loop.
 
     Per block: sample block_size_n detector outputs at the current total
     phase (ambient drift + DAC phase), quantize, decide, then advance the
-    drift by one block period.  `frozen=True` holds the DAC code fixed
-    (noise-only runs, where SUM carries no phase information).
+    drift by one block period.  The new DAC code applies from the next
+    block (one-block actuation latency).  `frozen=True` holds the DAC code
+    fixed (noise-only runs, where SUM carries no phase information).
+    `chain` is advanced in place, past exactly the draws of n_blocks.
     """
+    # Imported here so that importing the package starts no thread
+    # machinery.
+    from concurrent.futures import ThreadPoolExecutor
+
     adc = adc or AdcSpec()
     dac = dac or DacSpec()
-    tau = cfg.block_size_n / adc.sample_rate
+    n = cfg.block_size_n
+    tau = n / adc.sample_rate
     phase_per_step = 2 * np.pi * cfg.step_c / cfg.dac_modulus
     drift_per_tau = chain.drift_rate_std * np.sqrt(tau)
     if drift_per_tau > 0.5 * phase_per_step:
@@ -173,24 +188,60 @@ def run_closed_loop(params: DeviceParams, chain: SignalChainState,
             f"the correction step ({phase_per_step:.2e} rad); the loop may "
             "not keep up", stacklevel=2)
 
+    code_type = np.uint16 if adc.bits <= 16 else np.uint32
+    codes = np.empty((n_blocks, n), dtype=code_type)
+    centered = np.empty((n_blocks, n), dtype=np.int16)
+    saturated = np.empty(n_blocks, dtype=bool)
+    sums: list[int] = []
+    dac_before: list[int] = []
+    dac_after: list[int] = []
+    locked: list[bool] = []
+
+    rows = min(CHUNK_BLOCKS, n_blocks)
+    noise_buffers = [np.empty((rows, block_noise_width(n))) for _ in range(2)]
+    raw = np.empty((rows, n))
+    clipped = np.empty((rows, n))
+    starts = range(0, n_blocks, CHUNK_BLOCKS)
+    difference = homodyne_curve(params)
     state = initial if initial is not None else initial_state(cfg)
-    blocks: list[SampleBlock] = []
-    trace: list[BlockRecord] = []
-    for i in range(n_blocks):
-        phase = dac_to_phase(state.dac_data, dac, params.v_pi)
-        volts = detector_block(params, chain, phase, cfg.block_size_n)
-        codes, clipped = adc_convert(volts, adc)
-        saturated = clipped > 0
-        dac_before = state.dac_data
-        block, new_state = process_block(codes, cfg, state, saturated=saturated)
-        if frozen:
-            new_state = replace(new_state, dac_data=dac_before)
-        trace.append(BlockRecord(index=i, sum=block.sum,
-                                 dac_before=dac_before,
-                                 dac_after=new_state.dac_data,
-                                 locked=new_state.locked,
-                                 saturated=saturated))
-        blocks.append(block)
-        state = new_state
-        advance_drift(chain, tau)
-    return blocks, trace
+
+    def draw(j: int) -> np.ndarray:
+        k = min(CHUNK_BLOCKS, n_blocks - starts[j])
+        return draw_block_noise(chain, noise_buffers[j % 2][:k])
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = worker.submit(draw, 0) if n_blocks else None
+        for j, start in enumerate(starts):
+            noise = pending.result()
+            if j + 1 < len(starts):
+                pending = worker.submit(draw, j + 1)
+            quantum, electronic, drift = scale_block_noise(params, chain,
+                                                           noise, tau)
+            k = len(noise)
+            for i, step in enumerate(drift.tolist()):
+                phase = dac_to_phase(state.dac_data, dac, params.v_pi)
+                mean = difference(chain.delta_phi_ambient + phase)
+                volts = detector_volts(mean, quantum[i], electronic[i],
+                                       out=raw[i])
+                adc_ideal_codes(volts, adc, out=volts)
+                block_sum = int(adc_clip(volts, adc, out=clipped[i]).sum())
+                new_state = decide(block_sum, cfg, state)
+                sums.append(block_sum)
+                dac_before.append(state.dac_data)
+                locked.append(new_state.locked)
+                if not frozen:
+                    state = new_state
+                dac_after.append(state.dac_data)
+                chain.delta_phi_ambient = drift_phase(
+                    chain.delta_phi_ambient, step)
+            # Saturated: clipping moved a sample of the block.
+            stop = start + k
+            saturated[start:stop] = (clipped[:k] != raw[:k]).any(axis=1)
+            codes[start:stop] = clipped[:k]
+            centered[start:stop] = center_codes(codes[start:stop],
+                                                np.array(sums[start:stop]))
+    return LoopRun(codes=codes, centered=centered,
+                   sums=np.array(sums, dtype=np.int64),
+                   dac_before=np.array(dac_before, dtype=np.int64),
+                   dac_after=np.array(dac_after, dtype=np.int64),
+                   locked=np.array(locked, dtype=bool), saturated=saturated)

@@ -23,8 +23,13 @@ from .errors import NoExtractableEntropyError, ParameterError
 
 
 def sample_variance(values) -> float:
-    """Unbiased sample variance (two-pass, divide by n-1)."""
-    values = np.asarray(values, dtype=np.float64)
+    """Unbiased sample variance (two-pass, divide by n-1).
+
+    Integer input is not cast up front: numpy sums it in float64, exactly
+    while the sum stays below 2^53, so the result equals that of the
+    float64 copy without holding one.
+    """
+    values = np.asarray(values)
     if values.size < 2:
         raise ParameterError("variance needs at least 2 values")
     return float(np.var(values, ddof=1))
@@ -98,8 +103,8 @@ def build_report(measured_centered_half_lsb, noise_centered_half_lsb,
     Inputs are the centered streams of the LO-on and LO-off runs; half-LSB
     variance is divided by 4 to report in LSB^2 counts.
     """
-    measured = np.asarray(measured_centered_half_lsb, dtype=np.float64)
-    noise = np.asarray(noise_centered_half_lsb, dtype=np.float64)
+    measured = np.asarray(measured_centered_half_lsb)
+    noise = np.asarray(noise_centered_half_lsb)
     sigma_m_sq = sample_variance(measured) / 4.0
     sigma_e_sq = sample_variance(noise) / 4.0
     h = min_entropy(sigma_m_sq, sigma_e_sq)

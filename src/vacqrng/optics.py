@@ -10,6 +10,7 @@ so the photocurrent expressions evaluate directly to detector voltages.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DegenerateDeviceError, ParameterError
@@ -117,10 +118,15 @@ def _difference_coefficients(params: DeviceParams) -> tuple[float, float]:
     return offset, slope_cos
 
 
+def homodyne_curve(params: DeviceParams) -> Callable[[float], float]:
+    """`homodyne_difference` of one device, its coefficients computed once."""
+    offset, slope_cos = _difference_coefficients(params)
+    return lambda delta_phi: offset + slope_cos * math.cos(delta_phi)
+
+
 def homodyne_difference(params: DeviceParams, delta_phi: float) -> float:
     """Balanced-detector output voltage: PD1 minus PD2."""
-    offset, slope_cos = _difference_coefficients(params)
-    return offset + slope_cos * math.cos(delta_phi)
+    return homodyne_curve(params)(delta_phi)
 
 
 def balance_phase(params: DeviceParams, mirrored: bool = False) -> float:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .controller import BlockRecord, SampleBlock, run_closed_loop
+from .controller import LoopRun, run_closed_loop
 from .entropy import (EntropyReport, build_report, extractor_budget,
                       min_entropy_discretized)
 from .errors import DataError, NoExtractableEntropyError
@@ -56,19 +56,16 @@ class LoopSummary:
     saturated_blocks: int
 
     @classmethod
-    def from_trace(cls, trace: list[BlockRecord],
-                   warmup_blocks: int = 500) -> "LoopSummary":
-        locked = np.array([r.locked for r in trace], dtype=bool)
-        saturated = sum(r.saturated for r in trace)
-        first = int(np.argmax(locked)) if locked.any() else None
-        tail = locked[warmup_blocks:]
+    def from_run(cls, run: LoopRun,
+                 warmup_blocks: int = 500) -> "LoopSummary":
+        tail = run.locked[warmup_blocks:]
         return cls(
-            n_blocks=len(trace),
-            first_locked_block=first,
-            locked_fraction=float(locked.mean()) if len(trace) else 0.0,
+            n_blocks=len(run),
+            first_locked_block=run.first_locked(),
+            locked_fraction=float(run.locked.mean()) if len(run) else 0.0,
             locked_fraction_after_warmup=float(tail.mean()) if tail.size else 0.0,
             warmup_blocks=warmup_blocks,
-            saturated_blocks=int(saturated),
+            saturated_blocks=int(run.saturated.sum()),
         )
 
 
@@ -133,18 +130,26 @@ def _write_json(path: Path, payload: dict, config: PipelineConfig) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_trace(path: Path, trace: list[BlockRecord],
-                 config: PipelineConfig) -> None:
+def write_trace(path: Path, run: LoopRun, config: PipelineConfig) -> None:
+    """Per-block trace: a provenance header line, then one JSON object per
+    block with sorted keys (dac_after, dac_before, index, locked, saturated,
+    sum)."""
+    flag = {False: "false", True: "true"}
     with path.open("w") as fh:
         fh.write(json.dumps({"kind": "block-trace", **_provenance(config)},
                             sort_keys=True) + "\n")
-        for r in trace:
-            fh.write(json.dumps(dataclasses.asdict(r), sort_keys=True) + "\n")
+        fh.writelines(
+            f'{{"dac_after": {after}, "dac_before": {before}, "index": {i}, '
+            f'"locked": {flag[lock]}, "saturated": {flag[sat]}, '
+            f'"sum": {total}}}\n'
+            for i, (after, before, lock, sat, total) in enumerate(zip(
+                run.dac_after.tolist(), run.dac_before.tolist(),
+                run.locked.tolist(), run.saturated.tolist(),
+                run.sums.tolist())))
 
 
 def simulate_run(config: PipelineConfig, lo_off: bool = False,
-                 n_blocks: int | None = None,
-                 ) -> tuple[list[SampleBlock], list[BlockRecord]]:
+                 n_blocks: int | None = None) -> LoopRun:
     """One closed-loop (or frozen noise-only) simulation per the config."""
     seeds = config.stream_seeds()
     params = config.device_params()
@@ -162,8 +167,7 @@ def simulate_run(config: PipelineConfig, lo_off: bool = False,
                            dac=config.dac_spec(), frozen=lo_off)
 
 
-def select_centered(blocks: list[SampleBlock], trace: list[BlockRecord],
-                    exclude_saturated: bool,
+def select_centered(run: LoopRun, exclude_saturated: bool,
                     discard_unlocked: bool,
                     skip_startup: bool = True) -> np.ndarray:
     """Concatenate the centered samples of the blocks that feed downstream.
@@ -174,20 +178,26 @@ def select_centered(blocks: list[SampleBlock], trace: list[BlockRecord],
     Steady-state unlocked blocks (the loop dithering around the interval)
     are kept unless `discard_unlocked` is set.
     """
-    start = 0
+    keep = np.ones(len(run), dtype=bool)
     if skip_startup:
-        locked_at = [r.index for r in trace if r.locked]
-        start = locked_at[0] if locked_at else len(trace)
-    keep = []
-    for block, record in zip(blocks[start:], trace[start:]):
-        if exclude_saturated and record.saturated:
-            continue
-        if discard_unlocked and not record.locked:
-            continue
-        keep.append(block.centered)
-    if not keep:
+        first = run.first_locked()
+        keep[:len(run) if first is None else first] = False
+    if exclude_saturated:
+        keep &= ~run.saturated
+    if discard_unlocked:
+        keep &= run.locked
+    if not keep.any():
         raise DataError("no usable blocks after saturation/lock filtering")
-    return np.concatenate(keep)
+    return run.centered[keep].reshape(-1)
+
+
+def measured_samples(config: PipelineConfig, run: LoopRun) -> np.ndarray:
+    """The LO-on samples that entropy estimation and extraction read:
+    from the first lock on, saturated blocks never, unlocked blocks
+    unless `discard_unlocked` is set.  A railed block centers to a
+    constant stream that would dilute the output with known bits."""
+    return select_centered(run, exclude_saturated=True,
+                           discard_unlocked=config.discard_unlocked)
 
 
 def obtain_seed(config: PipelineConfig) -> ToeplitzSeed:
@@ -209,23 +219,19 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
     artifacts["config"] = out / "config.txt"
 
     # LO on: closed loop.
-    blocks_on, trace_on = simulate_run(config, lo_off=False)
-    loop = LoopSummary.from_trace(trace_on)
-    _write_trace(out / "trace.jsonl", trace_on, config)
+    run_on = simulate_run(config, lo_off=False)
+    loop = LoopSummary.from_run(run_on)
+    write_trace(out / "trace.jsonl", run_on, config)
     artifacts["trace"] = out / "trace.jsonl"
     if config.write_raw:
-        raw = np.concatenate([b.codes for b in blocks_on]).astype("<u2")
-        (out / "raw_codes.u16").write_bytes(raw.tobytes())
+        run_on.codes.astype("<u2", copy=False).tofile(out / "raw_codes.u16")
         artifacts["raw_codes"] = out / "raw_codes.u16"
-    centered_all = np.concatenate([b.centered for b in blocks_on])
-    (out / "centered.i16").write_bytes(centered_all.astype("<i2").tobytes())
+    run_on.centered.astype("<i2", copy=False).tofile(out / "centered.i16")
     artifacts["centered"] = out / "centered.i16"
 
     # LO off: frozen controller noise run.
-    blocks_off, trace_off = simulate_run(config, lo_off=True)
-    noise_centered = np.concatenate([b.centered for b in blocks_off])
-    (out / "noise_centered.i16").write_bytes(
-        noise_centered.astype("<i2").tobytes())
+    noise_centered = simulate_run(config, lo_off=True).centered.reshape(-1)
+    noise_centered.astype("<i2", copy=False).tofile(out / "noise_centered.i16")
     artifacts["noise_centered"] = out / "noise_centered.i16"
 
     # Entropy estimation on filtered blocks.
@@ -235,9 +241,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
     extracted_bits = 0
     extract_seconds = 0.0
     try:
-        measured = select_centered(blocks_on, trace_on,
-                                   exclude_saturated=True,
-                                   discard_unlocked=config.discard_unlocked)
+        measured = measured_samples(config, run_on)
         entropy = build_report(measured, noise_centered,
                                adc_bits=config.adc_bits)
         # Budget at the 0.01-bit reporting precision the extractor
@@ -258,10 +262,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
         _write_json(out / "entropy.json", payload, config)
         artifacts["entropy"] = out / "entropy.json"
 
-        # Extraction reads the blocks the estimate was made on: unlocked
-        # blocks feed it unless configured away, but saturated blocks never
-        # do; a railed block centers to a constant stream that would dilute
-        # the output with known bits.
+        # Extraction reads the blocks the estimate was made on.
         seed = obtain_seed(config)
         save_seed(out / "extractor_seed.bin", seed)
         artifacts["extractor_seed"] = out / "extractor_seed.bin"

@@ -84,6 +84,21 @@ def dac_to_phase(dac_data: int, dac: DacSpec, v_pi: float) -> float:
     return math.pi * voltage / v_pi
 
 
+def adc_ideal_codes(v, adc: AdcSpec, out=None) -> np.ndarray:
+    """Codes of an unbounded mid-tread converter: round(v/LSB) + 2^(bits-1).
+
+    Float64, before clipping; `out` may be `v` itself.
+    """
+    out = np.divide(v, adc.lsb, out=out)
+    np.rint(out, out=out)
+    return np.add(out, adc.mid_code, out=out)
+
+
+def adc_clip(raw, adc: AdcSpec, out=None) -> np.ndarray:
+    """Clamp ideal codes to the converter's range [0, 2^bits - 1]."""
+    return np.clip(raw, 0, adc.max_code, out=out)
+
+
 def adc_convert(v, adc: AdcSpec) -> tuple[np.ndarray, int]:
     """Quantize detector voltages to ADC codes and count clipped samples.
 
@@ -92,9 +107,11 @@ def adc_convert(v, adc: AdcSpec) -> tuple[np.ndarray, int]:
     int64 codes and the number of samples whose ideal code fell outside
     the range and was clipped to an end code (saturation).
     """
-    raw = np.rint(np.asarray(v, dtype=np.float64) / adc.lsb) + adc.mid_code
-    clipped = int(np.count_nonzero((raw < 0) | (raw > adc.max_code)))
-    return np.clip(raw, 0, adc.max_code).astype(np.int64), clipped
+    v = np.asarray(v, dtype=np.float64)
+    # 1-d, so that a scalar v also has an array for the in-place steps
+    raw = adc_ideal_codes(v.reshape(-1), adc).reshape(v.shape)
+    codes = adc_clip(raw, adc)
+    return codes.astype(np.int64), int(np.count_nonzero(codes != raw))
 
 
 def adc_quantize(v, adc: AdcSpec):
@@ -159,7 +176,15 @@ def detector_block(params: DeviceParams, state: SignalChainState,
     sigma_q = state.quantum_std(params.p_lo)
     quantum = state._rng.standard_normal(n)
     electronic = state._rng.standard_normal(n)
-    return mean + sigma_q * quantum + state.sigma_e * electronic
+    return detector_volts(mean, sigma_q * quantum, state.sigma_e * electronic)
+
+
+def detector_volts(mean: float, quantum: np.ndarray, electronic: np.ndarray,
+                   out=None) -> np.ndarray:
+    """Detector output from its mean and the scaled noise terms, added in
+    that order (floating-point addition is not associative)."""
+    out = np.add(mean, quantum, out=out)
+    return np.add(out, electronic, out=out)
 
 
 def advance_drift(state: SignalChainState, dt: float) -> SignalChainState:
@@ -171,5 +196,41 @@ def advance_drift(state: SignalChainState, dt: float) -> SignalChainState:
     if dt <= 0:
         raise ParameterError("dt must be positive")
     step = state._rng.normal(0.0, state.drift_rate_std * math.sqrt(dt))
-    state.delta_phi_ambient = (state.delta_phi_ambient + step) % (2 * math.pi)
+    state.delta_phi_ambient = drift_phase(state.delta_phi_ambient, step)
     return state
+
+
+def drift_phase(phase: float, step: float) -> float:
+    """Ambient phase after one drift increment, wrapped into [0, 2*pi)."""
+    return (phase + step) % (2 * math.pi)
+
+
+# Bulk noise.  Per block, `detector_block(n)` followed by `advance_drift`
+# consumes n quantum, n electronic and one drift normal, in that order, and
+# Generator.normal(0, s) is s times the next standard normal.  One
+# standard_normal fill of k rows of 2n + 1 therefore holds exactly the
+# draws of k such blocks, row i being block i.
+
+def block_noise_width(n: int) -> int:
+    """Standard normals one block of n samples draws: Q(n), E(n), drift."""
+    return 2 * n + 1
+
+
+def draw_block_noise(state: SignalChainState, out: np.ndarray) -> np.ndarray:
+    """Fill `out` (blocks x block_noise_width(n), C-contiguous float64) with
+    the next standard normals of the stream."""
+    return state._rng.standard_normal(out=out)
+
+
+def scale_block_noise(params: DeviceParams, state: SignalChainState,
+                      noise: np.ndarray, dt: float,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scale drawn rows in place to the per-block terms; returns views of
+    the quantum (blocks x n) and electronic (blocks x n) voltages and the
+    drift increments over dt seconds (blocks)."""
+    n = (noise.shape[1] - 1) // 2
+    quantum, electronic, drift = noise[:, :n], noise[:, n:2 * n], noise[:, 2 * n]
+    quantum *= state.quantum_std(params.p_lo)
+    electronic *= state.sigma_e
+    drift *= state.drift_rate_std * math.sqrt(dt)
+    return quantum, electronic, drift

@@ -166,16 +166,22 @@ def approximate_entropy_test(bits, pattern_length: int = 2,
         raise ParameterError(
             f"approximate entropy needs more than m+1 = {m + 1} bits")
 
-    def phi(block_len: int) -> float:
-        aug = np.concatenate([bits, bits[:block_len - 1]]) if block_len > 1 else bits
-        idx = np.zeros(n, dtype=np.int64)
-        for t in range(block_len):
-            idx = (idx << 1) | aug[t:t + n]
-        counts = np.bincount(idx, minlength=2 ** block_len)
-        probs = counts[counts > 0] / n
+    # Index of the circular (m+1)-bit window at every position, built once.
+    # The m-bit window at a position is the prefix of the (m+1)-bit one, so
+    # the m-bit counts are the sums of adjacent (m+1)-bit counts.
+    aug = np.concatenate([bits, bits[:m]])
+    idx = np.zeros(n, dtype=np.uint8 if m < 8 else np.int64)
+    for t in range(m + 1):
+        idx <<= 1
+        idx |= aug[t:t + n]
+    counts_long = np.bincount(idx, minlength=2 ** (m + 1))
+    counts = counts_long.reshape(-1, 2).sum(axis=1)
+
+    def phi(c: np.ndarray) -> float:
+        probs = c[c > 0] / n
         return float(np.sum(probs * np.log(probs)))
 
-    apen = phi(m) - phi(m + 1)
+    apen = phi(counts) - phi(counts_long)
     chi2 = max(2.0 * n * (math.log(2.0) - apen), 0.0)
     p = special.gammaincc(2 ** (m - 1), chi2 / 2.0)
     return _outcome("approximate_entropy", p, beta)

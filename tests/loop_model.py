@@ -3,7 +3,7 @@
 Test-side oracle for acceptance criterion 4.  It uses the optics model and
 the converter specs only, never the controller or the pipeline, and it
 reads nothing from a simulated run except in `judge_lock_in`, which holds
-a trace against the prediction.
+a run (a `LoopRun`) against the prediction.
 
 The loop state that matters is r, the DAC code minus the balance code in
 codes.  Each block the sum is Gaussian with mean N*(mid_code + v(r)/LSB)
@@ -246,8 +246,8 @@ class LockInVerdict:
     prediction: LockInPrediction
 
 
-def judge_lock_in(config, trace) -> LockInVerdict:
-    """Hold the first WINDOW_BLOCKS blocks of a trace against the model.
+def judge_lock_in(config, run) -> LockInVerdict:
+    """Hold the first WINDOW_BLOCKS blocks of a run against the model.
 
     (a) the first lock falls in the predicted block window, at a DAC code
         near the balance code the configured loop sign makes stable;
@@ -262,30 +262,31 @@ def judge_lock_in(config, trace) -> LockInVerdict:
     and (d) with at most 1e-6.
     """
     p = predict_lock_in(config)
-    window = trace[:WINDOW_BLOCKS]
-    first = next((r.index for r in window if r.locked), None)
+    window = min(WINDOW_BLOCKS, len(run))
+    locked = run.locked[:window]
+    first = int(np.argmax(locked)) if locked.any() else None
     lo, hi = p.lock_window
     code_lo, code_hi = p.lock_code_window
     acquisition = (f"acquisition from dac_init={config.dac_init} to balance "
                    f"code {p.balance_code:.1f} at step {config.step_c}")
     if first is None:
         return LockInVerdict(
-            [f"(a) {acquisition}: no lock in {len(window)} blocks, predicted "
+            [f"(a) {acquisition}: no lock in {window} blocks, predicted "
              f"first lock in [{lo}, {hi}]"], "no lock", p)
     failures = []
-    code = window[first].dac_before
+    code = int(run.dac_before[first])
     if not lo <= first <= hi:
         failures.append(f"(a) {acquisition}: first lock at block {first}, "
                         f"predicted in [{lo}, {hi}]")
     if not code_lo <= code <= code_hi:
         failures.append(f"(a) {acquisition}: first lock at code {code}, "
                         f"predicted in [{code_lo:.0f}, {code_hi:.0f}]")
-    after = window[first + 1:]
-    n = len(after)
+    after = slice(first + 1, window)
+    sums = run.sums[after]
+    n = sums.size
     if n == 0:
         failures.append("(b)-(d) no blocks after the first lock")
         return LockInVerdict(failures, f"first lock at block {first}", p)
-    sums = np.array([r.sum for r in after])
     mid_sum = config.block_size_n * config.adc_spec().mid_code
     offset = float(sums.mean()) - mid_sum
     sum_se = p.sum_asd / math.sqrt(n)
@@ -299,7 +300,7 @@ def judge_lock_in(config, trace) -> LockInVerdict:
         failures.append(f"(c) in-interval fraction {in_interval:.4f}, "
                         f"predicted {p.in_interval:.4f} +/- {Z_BOUND:g} x "
                         f"{in_se:.4f}")
-    saturated = sum(r.saturated for r in after)
+    saturated = int(run.saturated[after].sum())
     rate = n * p.saturation_rate
     sat_lo, sat_hi = int(poisson.ppf(TAIL, rate)), int(poisson.isf(TAIL, rate))
     if not sat_lo <= saturated <= sat_hi:

@@ -1,0 +1,121 @@
+"""Per-block reference of the closed loop, the oracle for `run_closed_loop`.
+
+This is the loop as first written: per block, n quantum then n electronic
+normals and one drift normal read from the chain's PRNG, the voltages,
+codes and drift formed inline with the arithmetic of that first version,
+and one object per block.  It shares only the decision rule (`decide`) and
+the centering rule (`center_codes`) with the array loop, which must
+reproduce its every field and leave the chain at the same point of its
+stream.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from vacqrng.controller import (ControllerConfig, ControllerState, LoopRun,
+                                center_codes, decide, initial_state)
+from vacqrng.errors import ParameterError
+from vacqrng.optics import DeviceParams, homodyne_difference
+from vacqrng.signal_chain import AdcSpec, DacSpec, SignalChainState
+
+
+@dataclass(frozen=True)
+class SampleBlock:
+    """One compensation block: raw codes, their sum, and centered values."""
+
+    codes: np.ndarray
+    sum: int
+    centered: np.ndarray
+    saturated: bool = False
+
+
+@dataclass(frozen=True)
+class BlockRecord:
+    """Per-block trace entry of a closed-loop run."""
+
+    index: int
+    sum: int
+    dac_before: int
+    dac_after: int
+    locked: bool
+    saturated: bool
+
+
+def process_block(codes: np.ndarray, cfg: ControllerConfig,
+                  state: ControllerState,
+                  saturated: bool = False) -> tuple[SampleBlock, ControllerState]:
+    """Sum a block, run the decision, and produce centered samples."""
+    codes = np.asarray(codes)
+    if len(codes) != cfg.block_size_n:
+        raise ParameterError(
+            f"expected {cfg.block_size_n} codes, got {len(codes)}")
+    block_sum = int(codes.sum())
+    new_state = decide(block_sum, cfg, state)
+    block = SampleBlock(codes=codes, sum=block_sum,
+                        centered=center_codes(codes, block_sum),
+                        saturated=saturated)
+    return block, new_state
+
+
+def run_per_block(params: DeviceParams, chain: SignalChainState,
+                  cfg: ControllerConfig, n_blocks: int,
+                  adc: AdcSpec | None = None, dac: DacSpec | None = None,
+                  frozen: bool = False,
+                  initial: ControllerState | None = None,
+                  ) -> tuple[list[SampleBlock], list[BlockRecord]]:
+    adc = adc or AdcSpec()
+    dac = dac or DacSpec()
+    tau = cfg.block_size_n / adc.sample_rate
+    state = initial if initial is not None else initial_state(cfg)
+    blocks: list[SampleBlock] = []
+    trace: list[BlockRecord] = []
+    for i in range(n_blocks):
+        phase = math.pi * (state.dac_data * dac.v_range / 2 ** dac.bits) \
+            / params.v_pi
+        mean = homodyne_difference(params, chain.delta_phi_ambient + phase)
+        quantum = chain._rng.standard_normal(cfg.block_size_n)
+        electronic = chain._rng.standard_normal(cfg.block_size_n)
+        volts = (mean + chain.quantum_std(params.p_lo) * quantum
+                 + chain.sigma_e * electronic)
+        raw = np.rint(volts / adc.lsb) + adc.mid_code
+        saturated = bool(np.any((raw < 0) | (raw > adc.max_code)))
+        codes = np.clip(raw, 0, adc.max_code).astype(np.int64)
+        dac_before = state.dac_data
+        block, new_state = process_block(codes, cfg, state, saturated=saturated)
+        if frozen:
+            new_state = replace(new_state, dac_data=dac_before)
+        trace.append(BlockRecord(index=i, sum=block.sum,
+                                 dac_before=dac_before,
+                                 dac_after=new_state.dac_data,
+                                 locked=new_state.locked,
+                                 saturated=saturated))
+        blocks.append(block)
+        state = new_state
+        step = chain._rng.normal(0.0, chain.drift_rate_std * math.sqrt(tau))
+        chain.delta_phi_ambient = (chain.delta_phi_ambient + step) \
+            % (2 * math.pi)
+    return blocks, trace
+
+
+def as_loop_run(blocks: list[SampleBlock], trace: list[BlockRecord],
+                block_size_n: int) -> LoopRun:
+    """The per-block lists as the arrays of a LoopRun."""
+    def column(name, dtype):
+        return np.array([getattr(r, name) for r in trace], dtype=dtype)
+
+    def stack(name, dtype):
+        rows = [getattr(b, name) for b in blocks]
+        return (np.array(rows, dtype=dtype) if rows
+                else np.empty((0, block_size_n), dtype=dtype))
+
+    return LoopRun(codes=stack("codes", np.int64),
+                   centered=stack("centered", np.int16),
+                   sums=column("sum", np.int64),
+                   dac_before=column("dac_before", np.int64),
+                   dac_after=column("dac_after", np.int64),
+                   locked=column("locked", bool),
+                   saturated=column("saturated", bool))

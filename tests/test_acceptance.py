@@ -53,15 +53,14 @@ SPEC_WARMUP_BLOCKS = 500   # criterion 4's specified warm-up
 def default_run():
     """Closed-loop run at the default (reference-device) configuration."""
     config = PipelineConfig(samples=N_LOOP_BLOCKS * 1000)
-    blocks, trace = simulate_run(config)
-    return config, blocks, trace
+    return config, simulate_run(config)
 
 
 @pytest.fixture(scope="module")
 def extracted_hundred_meg(default_run):
     """At least 1e8 extracted bits from the shared run."""
-    config, blocks, trace = default_run
-    centered = select_centered(blocks, trace, exclude_saturated=True,
+    config, run = default_run
+    centered = select_centered(run, exclude_saturated=True,
                                discard_unlocked=False)
     seed = obtain_seed(config)
     out = extract_stream(centered, seed, config.extractor_params())
@@ -125,15 +124,16 @@ def test_criterion_3_balance_correctness():
 
 
 def test_criterion_4_controller_lock_in(default_run):
-    config, blocks, trace = default_run
+    config, run = default_run
     start = time.perf_counter()
-    window = trace[:WINDOW_BLOCKS]
-    locked_first = next((r.index for r in window if r.locked), None)
-    tail = window[SPEC_WARMUP_BLOCKS:]
-    in_interval = np.mean([config.interval_a <= r.sum <= config.interval_b
-                           for r in tail])
-    saturation_events = sum(r.saturated for r in tail)
-    verdict = judge_lock_in(config, trace)
+    window = slice(0, WINDOW_BLOCKS)
+    locked_first = (int(np.argmax(run.locked[window]))
+                    if run.locked[window].any() else None)
+    tail = slice(SPEC_WARMUP_BLOCKS, WINDOW_BLOCKS)
+    in_interval = np.mean((run.sums[tail] >= config.interval_a)
+                          & (run.sums[tail] <= config.interval_b))
+    saturation_events = int(run.saturated[tail].sum())
+    verdict = judge_lock_in(config, run)
     elapsed = time.perf_counter() - start
     ok = not verdict.failures and elapsed <= 120
     half_width = (config.interval_b - config.interval_a) / 2
@@ -155,12 +155,12 @@ def test_criterion_4_rejects_frozen_loop(default_run):
     """Negative control: a loop whose DAC never moves never acquires."""
     config = default_run[0]
     chain = config.chain_state(config.stream_seeds()["lo_on"])
-    _, trace = run_closed_loop(config.device_params(), chain,
-                               config.controller_config(), WINDOW_BLOCKS,
-                               adc=config.adc_spec(), dac=config.dac_spec(),
-                               frozen=True)
-    assert {r.dac_before for r in trace} == {config.dac_init}
-    failures = judge_lock_in(config, trace).failures
+    run = run_closed_loop(config.device_params(), chain,
+                          config.controller_config(), WINDOW_BLOCKS,
+                          adc=config.adc_spec(), dac=config.dac_spec(),
+                          frozen=True)
+    assert set(run.dac_before.tolist()) == {config.dac_init}
+    failures = judge_lock_in(config, run).failures
     assert failures and failures[0].startswith("(a)")
 
 
@@ -169,10 +169,10 @@ def test_criterion_4_rejects_mirror_lock(default_run):
     which the check for the plain loop must reject."""
     config = default_run[0]
     inverted = replace(config, invert_loop=True)
-    _, trace = simulate_run(inverted, n_blocks=WINDOW_BLOCKS)
-    failures = judge_lock_in(config, trace).failures
+    run = simulate_run(inverted, n_blocks=WINDOW_BLOCKS)
+    failures = judge_lock_in(config, run).failures
     assert any(f.startswith("(a)") for f in failures)
-    assert not judge_lock_in(inverted, trace).failures
+    assert not judge_lock_in(inverted, run).failures
 
 
 def test_criterion_5_controller_oracle_equivalence():
@@ -206,10 +206,11 @@ def test_criterion_5_controller_oracle_equivalence():
 
 
 def test_criterion_6_centering(default_run):
-    config, blocks, trace = default_run
+    config, run = default_run
     n = config.block_size_n
-    worst_residual = max(abs(int(b.centered.sum())) for b in blocks)
-    stream = select_centered(blocks, trace, exclude_saturated=True,
+    worst_residual = int(np.abs(run.centered.sum(axis=1, dtype=np.int64))
+                         .max())
+    stream = select_centered(run, exclude_saturated=True,
                              discard_unlocked=False)
     assert stream.size >= 10_000_000
     grand_mean_lsb = float(np.mean(stream[:10_000_000])) / 2.0

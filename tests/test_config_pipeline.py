@@ -178,22 +178,21 @@ class TestPipeline:
 
     def test_loop_summary(self):
         config = PipelineConfig(**QUICK)
-        _, trace = simulate_run(config)
-        summary = LoopSummary.from_trace(trace, warmup_blocks=10)
+        summary = LoopSummary.from_run(simulate_run(config), warmup_blocks=10)
         assert summary.n_blocks == 200
         assert summary.first_locked_block is not None
         assert 0.0 <= summary.locked_fraction <= 1.0
 
     def test_select_centered_filters(self):
         config = PipelineConfig(**QUICK)
-        blocks, trace = simulate_run(config)
-        full = select_centered(blocks, trace, exclude_saturated=False,
+        run = simulate_run(config)
+        full = select_centered(run, exclude_saturated=False,
                                discard_unlocked=False, skip_startup=False)
         assert full.size == config.samples
-        locked_only = select_centered(blocks, trace, exclude_saturated=False,
+        locked_only = select_centered(run, exclude_saturated=False,
                                       discard_unlocked=True,
                                       skip_startup=False)
-        n_locked = sum(r.locked for r in trace)
+        n_locked = int(run.locked.sum())
         assert locked_only.size == n_locked * config.block_size_n
 
 

@@ -1,17 +1,21 @@
 """Feedback controller: decision rules, centering, closed-loop behavior."""
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vacqrng.controller import (ControllerConfig, ControllerState,
-                                center_codes, decide, initial_state,
-                                process_block, run_closed_loop)
+from vacqrng.config import PipelineConfig
+from vacqrng.controller import (CHUNK_BLOCKS, ControllerConfig,
+                                ControllerState, center_codes, decide,
+                                initial_state, run_closed_loop)
 from vacqrng.errors import ParameterError
 from vacqrng.optics import DeviceParams, balance_phase
 from vacqrng.signal_chain import SignalChainState
+from tests.loop_reference import as_loop_run, process_block, run_per_block
 from tests.test_optics import symmetric_params
 
 CFG = ControllerConfig()
@@ -154,28 +158,27 @@ class TestClosedLoop:
     def test_noiseless_symmetric_device_locks_immediately(self):
         chain = SignalChainState(sigma_vac=0.0, sigma_e=0.0,
                                  drift_rate_std=0.0, rng_seed=1)
-        blocks, trace = run_closed_loop(symmetric_params(), chain, CFG, 50)
-        assert all(r.locked for r in trace)
-        assert all(r.dac_after == CFG.dac_init for r in trace)
-        assert all(b.sum == 2048000 for b in blocks)
-        assert not any(r.saturated for r in trace)
+        run = run_closed_loop(symmetric_params(), chain, CFG, 50)
+        assert run.locked.all()
+        assert np.all(run.dac_after == CFG.dac_init)
+        assert np.all(run.sums == 2048000)
+        assert not run.saturated.any()
 
     def test_acquisition_reaches_interval_and_holds(self):
         # low-noise configuration so the hold behavior is observable
         chain = SignalChainState(sigma_vac=0.002, sigma_e=0.0005,
                                  drift_rate_std=0.0, rng_seed=21)
-        blocks, trace = run_closed_loop(DeviceParams(), chain, CFG, 800)
-        first = next(r.index for r in trace if r.locked)
+        run = run_closed_loop(DeviceParams(), chain, CFG, 800)
+        first = run.first_locked()
         assert first < 700
-        tail = [r.locked for r in trace[first:]]
-        assert np.mean(tail) > 0.99
+        assert np.mean(run.locked[first:]) > 0.99
 
     def test_acquisition_settles_at_balance_phase(self):
         chain = SignalChainState(sigma_vac=0.002, sigma_e=0.0005,
                                  drift_rate_std=0.0, rng_seed=22)
         params = DeviceParams()
-        _, trace = run_closed_loop(params, chain, CFG, 800)
-        dac = trace[-1].dac_after
+        run = run_closed_loop(params, chain, CFG, 800)
+        dac = int(run.dac_after[-1])
         phase = math.pi * dac * 2.480 / (2 ** 14 * 1.240)
         assert phase == pytest.approx(balance_phase(params), abs=0.01)
 
@@ -184,14 +187,14 @@ class TestClosedLoop:
         chain = SignalChainState(sigma_vac=0.002, sigma_e=0.0005,
                                  drift_rate_std=0.0, rng_seed=23)
         params = DeviceParams()
-        _, trace = run_closed_loop(params, chain, CFG, 800)
-        assert trace[-1].locked
-        settled = ControllerState(dac_data=trace[-1].dac_after)
+        run = run_closed_loop(params, chain, CFG, 800)
+        assert run.locked[-1]
+        settled = ControllerState(dac_data=int(run.dac_after[-1]))
         chain.delta_phi_ambient += 0.3
-        _, trace2 = run_closed_loop(params, chain, CFG, 400, initial=settled)
+        run2 = run_closed_loop(params, chain, CFG, 400, initial=settled)
         phase_per_step = 2 * math.pi * CFG.step_c / 2 ** CFG.dac_bits_n
         budget = math.ceil(0.3 / phase_per_step) + 40
-        relock = next((r.index for r in trace2 if r.locked), None)
+        relock = run2.first_locked()
         assert relock is not None and relock <= budget
 
     def test_corrective_direction_is_negative_feedback(self):
@@ -210,20 +213,145 @@ class TestClosedLoop:
     def test_one_block_actuation_latency(self):
         # dac_before of block k+1 equals dac_after of block k
         chain = SignalChainState(rng_seed=31)
-        _, trace = run_closed_loop(DeviceParams(), chain, CFG, 100)
-        for prev, nxt in zip(trace, trace[1:]):
-            assert nxt.dac_before == prev.dac_after
+        run = run_closed_loop(DeviceParams(), chain, CFG, 100)
+        assert np.array_equal(run.dac_before[1:], run.dac_after[:-1])
 
     def test_frozen_loop_for_noise_runs(self):
         chain = SignalChainState(rng_seed=32)
         params = replace(DeviceParams(), p_lo=0.0)
-        _, trace = run_closed_loop(params, chain, CFG, 100, frozen=True)
-        assert all(r.dac_after == CFG.dac_init for r in trace)
+        run = run_closed_loop(params, chain, CFG, 100, frozen=True)
+        assert np.all(run.dac_after == CFG.dac_init)
 
     def test_drift_warning_when_loop_cannot_keep_up(self):
         chain = SignalChainState(drift_rate_std=50.0, rng_seed=33)
         with pytest.warns(UserWarning, match="drift per block"):
             run_closed_loop(DeviceParams(), chain, CFG, 2)
+
+
+RUN_FIELDS = ("codes", "centered", "sums", "dac_before", "dac_after",
+              "locked", "saturated")
+
+
+def _loop_pair(config: PipelineConfig, n_blocks: int, lo_off: bool = False,
+               **kwargs):
+    """Run the array loop and the per-block oracle on twin chains."""
+    seed = config.stream_seeds()["lo_off" if lo_off else "lo_on"]
+    params = config.device_params()
+    if lo_off:
+        params = replace(params, p_lo=0.0)
+    chains = [config.chain_state(seed) for _ in range(2)]
+    common = dict(adc=config.adc_spec(), dac=config.dac_spec(),
+                  frozen=lo_off, **kwargs)
+    cfg = config.controller_config()
+    run = run_closed_loop(params, chains[0], cfg, n_blocks, **common)
+    blocks, trace = run_per_block(params, chains[1], cfg, n_blocks, **common)
+    return run, as_loop_run(blocks, trace, cfg.block_size_n), chains
+
+
+def _assert_same_run(run, ref, chains):
+    for name in RUN_FIELDS:
+        got, want = getattr(run, name), getattr(ref, name)
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    assert run.codes.dtype == np.uint16 and run.centered.dtype == np.int16
+    assert chains[0].delta_phi_ambient == chains[1].delta_phi_ambient
+    # both chains stand at the same point of their streams
+    assert np.array_equal(chains[0]._rng.standard_normal(3),
+                          chains[1]._rng.standard_normal(3))
+
+
+class TestArrayLoopMatchesPerBlockOracle:
+    """The chunked, prefetched loop reproduces the per-block loop exactly."""
+
+    def test_default_lo_on_acquisition(self):
+        # from dac_init 8092: acquisition with railed (saturated) blocks,
+        # then the first locks around block 580
+        run, ref, chains = _loop_pair(PipelineConfig(), 700)
+        assert ref.saturated.any() and ref.locked.any()
+        _assert_same_run(run, ref, chains)
+
+    def test_frozen_lo_off(self):
+        _assert_same_run(*_loop_pair(PipelineConfig(), 150, lo_off=True))
+
+    def test_invert_loop(self):
+        config = PipelineConfig(invert_loop=True, dac_init=5182)
+        run, ref, chains = _loop_pair(config, 200)
+        assert len(set(ref.dac_after.tolist())) > 1
+        _assert_same_run(run, ref, chains)
+
+    @pytest.mark.parametrize("n_blocks", [1, CHUNK_BLOCKS - 1, CHUNK_BLOCKS,
+                                          CHUNK_BLOCKS + 1,
+                                          3 * CHUNK_BLOCKS + 17])
+    def test_chunk_edges(self, n_blocks):
+        config = PipelineConfig(dac_init=5182)
+        _assert_same_run(*_loop_pair(config, n_blocks))
+
+    def test_zero_blocks(self):
+        run, ref, chains = _loop_pair(PipelineConfig(), 0)
+        assert len(run) == 0 and run.codes.shape == (0, 1000)
+        _assert_same_run(run, ref, chains)
+
+    def test_continued_run_on_same_chain(self):
+        config = PipelineConfig()
+        first, ref_first, chains = _loop_pair(config, 90)
+        _assert_same_run(first, ref_first, chains)
+        initial = ControllerState(dac_data=int(first.dac_after[-1]))
+        cfg = config.controller_config()
+        run = run_closed_loop(config.device_params(), chains[0], cfg, 100,
+                              adc=config.adc_spec(), dac=config.dac_spec(),
+                              initial=initial)
+        blocks, trace = run_per_block(
+            config.device_params(), chains[1], cfg, 100,
+            adc=config.adc_spec(), dac=config.dac_spec(), initial=initial)
+        _assert_same_run(run, as_loop_run(blocks, trace, 1000), chains)
+
+    def test_concurrent_runs_under_fast_thread_switching(self):
+        # four loops (each with its own draw worker) on one process, with
+        # the interpreter switching threads every microsecond: a chunk read
+        # before its draw finished, or a buffer drawn into while in use,
+        # would break equality with the oracle
+        config = PipelineConfig(dac_init=5182)
+        cfg, params = config.controller_config(), config.device_params()
+        seeds = [101, 102, 103, 104]
+        n_blocks = 3 * CHUNK_BLOCKS + 5
+        runs = {}
+
+        def work(seed):
+            runs[seed] = run_closed_loop(params, config.chain_state(seed), cfg,
+                                         n_blocks, adc=config.adc_spec(),
+                                         dac=config.dac_spec())
+
+        threads = [threading.Thread(target=work, args=(s,)) for s in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for seed in seeds:
+            blocks, trace = run_per_block(params, config.chain_state(seed),
+                                          cfg, n_blocks,
+                                          adc=config.adc_spec(),
+                                          dac=config.dac_spec())
+            ref = as_loop_run(blocks, trace, cfg.block_size_n)
+            for name in RUN_FIELDS:
+                assert np.array_equal(getattr(runs[seed], name),
+                                      getattr(ref, name)), (seed, name)
+
+    def test_centering_overflow_raises_without_hanging(self):
+        # at 16 bits the noise spans ~6,900 LSB per sigma, so half-LSB
+        # values 2*code - round(2*mean) leave int16 in the first chunk,
+        # while the worker is drawing the next one
+        config = PipelineConfig(adc_bits=16, dac_init=5182)
+        chain = config.chain_state(1)
+        with pytest.raises(ParameterError, match="overflow"):
+            run_closed_loop(config.device_params(), chain,
+                            config.controller_config(), 4 * CHUNK_BLOCKS,
+                            adc=config.adc_spec(), dac=config.dac_spec())
 
 
 class TestConfigValidation:

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from vacqrng.errors import ParameterError
-from vacqrng.optics import DeviceParams
+from vacqrng.optics import DeviceParams, homodyne_difference
 from vacqrng.signal_chain import (AdcSpec, DacSpec, SignalChainState,
                                   adc_quantize, adc_saturation_count,
-                                  advance_drift, dac_to_phase, detector_block,
-                                  detector_sample)
+                                  advance_drift, block_noise_width,
+                                  dac_to_phase, detector_block,
+                                  detector_sample, detector_volts,
+                                  draw_block_noise, drift_phase,
+                                  scale_block_noise)
 from tests.test_optics import symmetric_params
 
 
@@ -146,6 +149,38 @@ class TestDrift:
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ParameterError):
             advance_drift(SignalChainState(), 0.0)
+
+
+class TestBulkNoise:
+    def test_rows_reproduce_per_block_draws_bit_for_bit(self):
+        # one fill of k rows against k blocks drawn one by one, both with
+        # detector_block(n) + advance_drift and with their arithmetic
+        # written out: same volts, same ambient phase, same point of the
+        # stream afterwards
+        p, n, k, dt, phase = DeviceParams(), 50, 7, 1.25e-5, 0.4
+        bulk, blockwise, inline = (
+            SignalChainState(drift_rate_std=40.0, rng_seed=12)
+            for _ in range(3))
+        noise = draw_block_noise(bulk, np.empty((k, block_noise_width(n))))
+        quantum, electronic, drift = scale_block_noise(p, bulk, noise, dt)
+        for i in range(k):
+            mean = homodyne_difference(p, bulk.delta_phi_ambient + phase)
+            got = detector_volts(mean, quantum[i], electronic[i])
+            q = inline._rng.standard_normal(n)
+            e = inline._rng.standard_normal(n)
+            assert np.array_equal(got, mean + inline.quantum_std(p.p_lo) * q
+                                  + inline.sigma_e * e)
+            assert np.array_equal(got, detector_block(p, blockwise, phase, n))
+            bulk.delta_phi_ambient = drift_phase(bulk.delta_phi_ambient,
+                                                 drift[i])
+            step = inline._rng.normal(0.0, 40.0 * math.sqrt(dt))
+            inline.delta_phi_ambient = (inline.delta_phi_ambient
+                                        + step) % (2 * math.pi)
+            advance_drift(blockwise, dt)
+            assert bulk.delta_phi_ambient == inline.delta_phi_ambient
+            assert bulk.delta_phi_ambient == blockwise.delta_phi_ambient
+        assert (bulk._rng.standard_normal() == inline._rng.standard_normal()
+                == blockwise._rng.standard_normal())
 
 
 class TestStateValidation:

@@ -1,8 +1,11 @@
 """Statistical tests: published reference vectors, degenerate inputs,
 calibration, and the pass-proportion rule."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 from vacqrng.errors import DataError, ParameterError
 from vacqrng.stattests import (approximate_entropy_test, block_frequency_test,
@@ -89,6 +92,41 @@ class TestDegenerateInputs:
     def test_approximate_entropy_constant_fails(self):
         out = approximate_entropy_test(np.zeros(10_000, dtype=np.uint8))
         assert out.p_value == pytest.approx(0.0, abs=1e-12)
+
+
+def apen_p_two_indices(bits: np.ndarray, m: int) -> float:
+    """Approximate-entropy p-value with the m- and (m+1)-bit circular
+    pattern counts each counted directly, as the statistic is defined."""
+    n = bits.size
+
+    def phi(block_len: int) -> float:
+        aug = np.concatenate([bits, bits[:block_len - 1]])
+        idx = np.zeros(n, dtype=np.int64)
+        for t in range(block_len):
+            idx = (idx << 1) | aug[t:t + n]
+        counts = np.bincount(idx, minlength=2 ** block_len)
+        probs = counts[counts > 0] / n
+        return float(np.sum(probs * np.log(probs)))
+
+    apen = phi(m) - phi(m + 1)
+    chi2 = max(2.0 * n * (math.log(2.0) - apen), 0.0)
+    return float(min(max(special.gammaincc(2 ** (m - 1), chi2 / 2.0), 0.0),
+                     1.0))
+
+
+class TestApproximateEntropyDerivedCounts:
+    """The m-bit counts derived from the (m+1)-bit ones (each circular
+    m-window is the prefix of the (m+1)-window at the same position) give
+    the p-value of counting both directly, bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_direct_counts(self, m):
+        rng = np.random.default_rng(40 + m)
+        for data in (prng_bits(20_011, seed=m),
+                     (rng.random(5_003) < 0.3).astype(np.uint8),
+                     bits(PI_100)):
+            got = approximate_entropy_test(data, pattern_length=m).p_value
+            assert got == apen_p_two_indices(data, m)
 
 
 class TestRandomInputSanity:
