@@ -27,9 +27,9 @@ from .errors import (ConfigError, DataError, NoExtractableEntropyError,
                      ParameterError)
 from .pipeline import (LoopSummary, benchmark_extractor, measured_samples,
                        obtain_seed, paper_repro_table, run_pipeline,
-                       select_centered, simulate_run, write_trace)
-from .stattests import run_suite
-from .toeplitz import extract_stream, pack_bits, save_seed
+                       select_centered, simulate_run, suite_on_packed,
+                       write_trace)
+from .toeplitz import extract_stream, save_seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,14 +125,15 @@ def _cmd_extract(args) -> int:
     config = _load(args)
     samples = measured_samples(config, simulate_run(config))
     seed = obtain_seed(config)
-    bits = extract_stream(samples, seed, config.extractor_params(),
-                          bits_per_sample=config.adc_bits)
+    params = config.extractor_params()
+    packed = extract_stream(samples, seed, params,
+                            bits_per_sample=config.adc_bits)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "extracted.bin").write_bytes(pack_bits(bits))
+    (out / "extracted.bin").write_bytes(packed)
     save_seed(out / "extractor_seed.bin", seed)
-    print(f"extracted {bits.size} bits from {samples.size} samples "
-          f"-> {out / 'extracted.bin'}")
+    print(f"extracted {params.output_bits(samples.size * config.adc_bits)} "
+          f"bits from {samples.size} samples -> {out / 'extracted.bin'}")
     return 0
 
 
@@ -140,21 +141,23 @@ def _cmd_test(args) -> int:
     config = _load(args)
     if args.bits is not None:
         try:
-            raw = np.frombuffer(Path(args.bits).read_bytes(), dtype=np.uint8)
+            packed = np.frombuffer(Path(args.bits).read_bytes(),
+                                   dtype=np.uint8)
         except OSError as exc:
             raise DataError(f"cannot read bitstream {args.bits}: {exc}")
-        bits = np.unpackbits(raw, bitorder="little")
+        n_bits = packed.size * 8
     else:
         samples = measured_samples(config, simulate_run(config))
-        bits = extract_stream(samples, seed=obtain_seed(config),
-                              params=config.extractor_params(),
-                              bits_per_sample=config.adc_bits)
-    n_seq = min(config.n_sequences, bits.size // config.sequence_length)
-    if n_seq < 1:
+        params = config.extractor_params()
+        packed = extract_stream(samples, seed=obtain_seed(config),
+                                params=params,
+                                bits_per_sample=config.adc_bits)
+        n_bits = params.output_bits(samples.size * config.adc_bits)
+    verdict = suite_on_packed(packed, n_bits, config)
+    if verdict is None:
         raise DataError(
-            f"only {bits.size} bits available; need at least one "
+            f"only {n_bits} bits available; need at least one "
             f"{config.sequence_length}-bit sequence")
-    verdict = run_suite(bits, config.sequence_length, n_seq, beta=config.beta)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "verdict.json").write_text(verdict.to_json() + "\n")

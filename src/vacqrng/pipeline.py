@@ -27,7 +27,7 @@ from .entropy import (EntropyReport, build_report, extractor_budget,
 from .errors import DataError, NoExtractableEntropyError
 from .stattests import SuiteVerdict, pass_proportion_interval, run_suite
 from .toeplitz import (ExtractorParams, ToeplitzSeed, extract_stream,
-                       generate_test_seed, load_seed, pack_bits, save_seed)
+                       generate_test_seed, load_seed, save_seed)
 
 # Headline figures of the reference hardware experiment this simulator
 # models; `paper-repro` prints measured values against them.
@@ -207,6 +207,22 @@ def obtain_seed(config: PipelineConfig) -> ToeplitzSeed:
     return generate_test_seed(params, config.stream_seeds()["extractor_seed"])
 
 
+def suite_on_packed(packed: np.ndarray, n_bits: int,
+                    config: PipelineConfig) -> SuiteVerdict | None:
+    """Statistical suite on a packed stream of `n_bits` bits.
+
+    Runs as many sequences as the stream holds, up to
+    `config.n_sequences`, unpacking only their bits; None if it holds
+    not one.
+    """
+    n_seq = min(config.n_sequences, n_bits // config.sequence_length)
+    if n_seq < 1:
+        return None
+    bits = np.unpackbits(packed, count=n_seq * config.sequence_length,
+                         bitorder="little")
+    return run_suite(bits, config.sequence_length, n_seq, beta=config.beta)
+
+
 def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
     """Execute every stage and write all artifacts under out_dir."""
     config.validate()
@@ -266,19 +282,18 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
         seed = obtain_seed(config)
         save_seed(out / "extractor_seed.bin", seed)
         artifacts["extractor_seed"] = out / "extractor_seed.bin"
+        params = config.extractor_params()
         t0 = time.perf_counter()
-        bits = extract_stream(measured, seed, config.extractor_params(),
-                              bits_per_sample=config.adc_bits)
+        packed = extract_stream(measured, seed, params,
+                                bits_per_sample=config.adc_bits)
         extract_seconds = time.perf_counter() - t0
-        extracted_bits = int(bits.size)
-        (out / "extracted.bin").write_bytes(pack_bits(bits))
+        extracted_bits = params.output_bits(measured.size * config.adc_bits)
+        (out / "extracted.bin").write_bytes(packed)
         artifacts["extracted"] = out / "extracted.bin"
 
         # Statistical validation at whatever scale the output supports.
-        n_seq = min(config.n_sequences, bits.size // config.sequence_length)
-        if n_seq >= 1:
-            verdict = run_suite(bits, config.sequence_length, n_seq,
-                                beta=config.beta)
+        verdict = suite_on_packed(packed, extracted_bits, config)
+        if verdict is not None:
             _write_json(out / "verdict.json",
                         json.loads(verdict.to_json()), config)
             artifacts["verdict"] = out / "verdict.json"

@@ -18,6 +18,16 @@ output is the XOR of those looked-up rows, each holding the m output bits
 packed into 64-bit words.  Only XORs of bits are computed, so the fast
 path is exact by construction and bit-identical to the oracle.
 
+`extract_stream` hashes a sample stream with one path for every geometry
+(any n and m, 1..16 bits per sample, blocks that start inside a sample or
+a byte): per chunk of _CHUNK_BLOCKS blocks it unpacks the low bits of the
+samples the chunk covers, packs each block to bytes, hashes, and repacks
+the m-bit outputs across rows into its slice of the packed output, which
+is what it returns.  Chunks are taken from one shared iterator by the
+caller's thread and one helper thread, started only when the stream spans
+more than one chunk; a one-chunk call starts no thread.  The helper calls
+only private functions, never the public wrappers.
+
 Bit conventions, fixed for all stream and file formats:
   * samples enter the input block least-significant-bit first, samples in
     temporal order (low `bits_per_sample` bits of the two's-complement
@@ -35,7 +45,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError
 
-_CHUNK_BLOCKS = 4096  # blocks hashed per extract_stream step
+_CHUNK_BLOCKS = 4096  # blocks hashed per extract_stream step; a multiple of 8
+_HELPERS = 1          # threads hashing chunks beside the caller's
 _WORD = np.dtype("<u8")
 
 
@@ -60,6 +71,11 @@ class ExtractorParams:
     @property
     def epsilon(self) -> float:
         return 2.0 ** -self.epsilon_log2
+
+    def output_bits(self, input_bits: int) -> int:
+        """Bits hashed out of a stream of `input_bits` bits: m per whole
+        n-bit block, the trailing partial block dropped."""
+        return input_bits // self.n * self.m
 
 
 @dataclass(frozen=True)
@@ -133,23 +149,31 @@ def extract_blocks(blocks: np.ndarray, seed: ToeplitzSeed,
                    table: np.ndarray | None = None) -> np.ndarray:
     """Extract many blocks at once: (k, n) bits in, (k, m) bits out.
 
-    Each block is packed to ceil(n/8) bytes; byte p selects row x[p] of
-    table[p], and the XOR of the selected rows over all byte positions is
-    the packed output.  `table` is `_byte_table(seed, params)`; callers
-    hashing many batches with one seed build it once and pass it in.
+    `table` is `_byte_table(seed, params)`; callers hashing many batches
+    with one seed build it once and pass it in.
     """
     blocks = np.asarray(blocks)
     if blocks.ndim != 2 or blocks.shape[1] != params.n:
         raise ParameterError(f"blocks must have shape (k, {params.n})")
     if table is None:
         table = _byte_table(seed, params)
+    return _hash(blocks, table, params.m)
+
+
+def _hash(blocks: np.ndarray, table: np.ndarray, m: int) -> np.ndarray:
+    """(k, n) bits in, (k, m) bits out, through the byte table.
+
+    Each block is packed to ceil(n/8) bytes; byte p selects row x[p] of
+    table[p], and the XOR of the selected rows over all byte positions,
+    kept in uint64 words, is the packed output.
+    """
     # Position-major bytes, so each gather reads one contiguous index row.
     x = np.ascontiguousarray(
         np.packbits(blocks, axis=1, bitorder="little").T)
     acc = np.zeros((blocks.shape[0], table.shape[2]), dtype=_WORD)
     for p in range(x.shape[0]):
         acc ^= table[p].take(x[p], axis=0)
-    return np.unpackbits(acc.view(np.uint8), axis=1, count=params.m,
+    return np.unpackbits(acc.view(np.uint8), axis=1, count=m,
                          bitorder="little")
 
 
@@ -188,14 +212,22 @@ def _check_bits_per_sample(bits_per_sample: int) -> None:
         raise ParameterError("bits_per_sample must be in [1, 16]")
 
 
+def _as_samples(samples) -> np.ndarray:
+    samples = np.asarray(samples).reshape(-1)
+    if samples.dtype.kind not in "iu":
+        raise ParameterError("samples must be integers")
+    return samples
+
+
 def samples_to_bits(samples, bits_per_sample: int = 12) -> np.ndarray:
     """Low bits of each two's-complement sample, LSB first, temporal order."""
     _check_bits_per_sample(bits_per_sample)
-    samples = np.asarray(samples)
-    if samples.dtype.kind not in "iu":
-        raise ParameterError("samples must be integers")
+    return _low_bits(_as_samples(samples), bits_per_sample)
+
+
+def _low_bits(samples: np.ndarray, bits_per_sample: int) -> np.ndarray:
     # The low 16 bits of the two's complement, as two little-endian bytes.
-    low = samples.reshape(-1).astype("<u2").view(np.uint8).reshape(-1, 2)
+    low = samples.astype("<u2").view(np.uint8).reshape(-1, 2)
     bits = np.unpackbits(low, axis=1, bitorder="little")
     return bits[:, :bits_per_sample].reshape(-1)
 
@@ -203,31 +235,60 @@ def samples_to_bits(samples, bits_per_sample: int = 12) -> np.ndarray:
 def extract_stream(centered_samples, seed: ToeplitzSeed,
                    params: ExtractorParams,
                    bits_per_sample: int = 12) -> np.ndarray:
-    """Hash a centered-sample stream into extracted bits.
+    """Hash a centered-sample stream into packed extracted bytes.
 
     Samples are unpacked to bits, grouped into n-bit blocks (trailing
     partial block dropped, never padded), and each block is extracted with
-    the same seed.  Returns the concatenated m-bit outputs.  Blocks are
-    hashed _CHUNK_BLOCKS at a time, unpacking only the samples each chunk
-    covers, so working memory beyond the output does not grow with the
-    stream.
+    the same seed.  Returns the concatenated m-bit outputs packed as a
+    uint8 array in the `pack_bits` format (first bit in the LSB of the
+    first byte, zero padding), `params.output_bits(...)` bits in all.
+    Blocks are hashed _CHUNK_BLOCKS at a time, unpacking only the samples
+    each chunk covers, so working memory beyond the output does not grow
+    with the stream; a stream of more than one chunk is hashed by the
+    caller's thread and _HELPERS helper threads.
     """
     _check_bits_per_sample(bits_per_sample)
-    samples = np.asarray(centered_samples).reshape(-1)
-    n = params.n
+    samples = _as_samples(centered_samples)
+    n, m = params.n, params.m
     n_blocks = samples.size * bits_per_sample // n
-    out = np.empty((n_blocks, params.m), dtype=np.uint8)
+    out = np.empty(-(-n_blocks * m // 8), dtype=np.uint8)
     table = _byte_table(seed, params)
-    for start in range(0, n_blocks, _CHUNK_BLOCKS):
-        stop = min(start + _CHUNK_BLOCKS, n_blocks)
-        # Chunk edges need not fall on sample edges: unpack the samples
-        # covering bits [start*n, stop*n) and skip the leading partial one.
-        first, skip = divmod(start * n, bits_per_sample)
-        last = -(-stop * n // bits_per_sample)
-        bits = samples_to_bits(samples[first:last], bits_per_sample)
-        blocks = bits[skip:skip + (stop - start) * n].reshape(-1, n)
-        out[start:stop] = extract_blocks(blocks, seed, params, table=table)
-    return out.reshape(-1)
+
+    def hash_chunks(starts) -> None:
+        try:
+            for start in starts:
+                stop = min(start + _CHUNK_BLOCKS, n_blocks)
+                # Chunk edges need not fall on sample edges: unpack the
+                # samples covering bits [start*n, stop*n) and skip the
+                # leading partial one.
+                first, skip = divmod(start * n, bits_per_sample)
+                last = -(-stop * n // bits_per_sample)
+                bits = _low_bits(samples[first:last], bits_per_sample)
+                blocks = bits[skip:skip + (stop - start) * n].reshape(-1, n)
+                packed = np.packbits(_hash(blocks, table, m).reshape(-1),
+                                     bitorder="little")
+                # Every chunk but the last holds a multiple of 8 blocks,
+                # so each starts on a byte.
+                out[start * m // 8:start * m // 8 + packed.size] = packed
+        finally:
+            # After an error (or Ctrl-C on the caller), leave the other
+            # thread no chunk, so that the call ends without hashing the
+            # rest of the stream.
+            for _ in starts:
+                pass
+
+    starts = iter(range(0, n_blocks, _CHUNK_BLOCKS))
+    if n_blocks <= _CHUNK_BLOCKS:
+        hash_chunks(starts)
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=_HELPERS) as pool:
+        helpers = [pool.submit(hash_chunks, starts) for _ in range(_HELPERS)]
+        hash_chunks(starts)
+        for helper in helpers:
+            helper.result()
+    return out
 
 
 def pack_bits(bits) -> bytes:

@@ -63,7 +63,9 @@ def extracted_hundred_meg(default_run):
     centered = select_centered(run, exclude_saturated=True,
                                discard_unlocked=False)
     seed = obtain_seed(config)
-    out = extract_stream(centered, seed, config.extractor_params())
+    out = np.unpackbits(
+        extract_stream(centered, seed, config.extractor_params()),
+        bitorder="little")
     assert out.size >= 100_000_000
     return out
 

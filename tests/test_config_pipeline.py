@@ -6,12 +6,14 @@ import json
 import numpy as np
 import pytest
 
+from vacqrng import pipeline
 from vacqrng.cli import main
 from vacqrng.config import PipelineConfig, load_config, parse_config_text
 from vacqrng.errors import (ConfigError, NoExtractableEntropyError,
                             ParameterError)
 from vacqrng.pipeline import (LoopSummary, run_pipeline, select_centered,
-                              simulate_run)
+                              simulate_run, suite_on_packed)
+from vacqrng.stattests import run_suite
 from vacqrng.toeplitz import pack_bits
 
 QUICK = dict(samples=200_000, noise_samples=100_000, dac_init=5182,
@@ -182,6 +184,25 @@ class TestPipeline:
         assert summary.n_blocks == 200
         assert summary.first_locked_block is not None
         assert 0.0 <= summary.locked_fraction <= 1.0
+
+    def test_suite_on_packed_reads_only_whole_sequences(self, monkeypatch):
+        config = PipelineConfig(sequence_length=1_000, n_sequences=3)
+        bits = np.random.default_rng(4).integers(0, 2, size=2_500,
+                                                 dtype=np.uint8)
+        packed = np.frombuffer(pack_bits(bits), dtype=np.uint8)
+        seen = []
+
+        def recording_suite(stream, *args, **kwargs):
+            seen.append((np.array(stream), args))
+            return run_suite(stream, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_suite", recording_suite)
+        verdict = suite_on_packed(packed, bits.size, config)
+        assert verdict == run_suite(bits, 1_000, 2, beta=config.beta)
+        [(stream, args)] = seen
+        assert args == (1_000, 2)
+        assert np.array_equal(stream, bits[:2_000])
+        assert suite_on_packed(packed, 999, config) is None
 
     def test_select_centered_filters(self):
         config = PipelineConfig(**QUICK)

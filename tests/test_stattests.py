@@ -8,9 +8,10 @@ import pytest
 from scipy import special
 
 from vacqrng.errors import DataError, ParameterError
-from vacqrng.stattests import (approximate_entropy_test, block_frequency_test,
-                               cumulative_sums_test, monobit_test,
-                               pass_proportion_interval, run_suite, runs_test)
+from vacqrng.stattests import (_max_excursion, approximate_entropy_test,
+                               block_frequency_test, cumulative_sums_test,
+                               monobit_test, pass_proportion_interval,
+                               run_suite, runs_test)
 
 # First 100 binary digits of pi (integer part included), the standard
 # suite's worked long example; 42 ones, 52 runs.
@@ -127,6 +128,31 @@ class TestApproximateEntropyDerivedCounts:
                      bits(PI_100)):
             got = approximate_entropy_test(data, pattern_length=m).p_value
             assert got == apen_p_two_indices(data, m)
+
+
+def reference_excursion(data: np.ndarray) -> int:
+    """max |S_k| of the +/-1 walk, summed in int64."""
+    return int(np.max(np.abs(np.cumsum(2 * data.astype(np.int64) - 1))))
+
+
+class TestCumulativeSumsWalk:
+    """The int8-step, int32-sum walk gives the int64 walk's z."""
+
+    def test_random_sequences_both_directions(self):
+        rng = np.random.default_rng(50)
+        for k in range(50):
+            n = int(rng.integers(2, 200_000))
+            data = (rng.random(n) < rng.uniform(0.3, 0.7)).astype(np.uint8)
+            assert _max_excursion(data) == reference_excursion(data)
+            assert (_max_excursion(data[::-1])
+                    == reference_excursion(data[::-1]))
+
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_constant_sequences_reach_n(self, value):
+        data = np.full(300_007, value, dtype=np.uint8)
+        for walk in (data, data[::-1]):
+            assert _max_excursion(walk) == data.size
+            assert reference_excursion(walk) == data.size
 
 
 class TestRandomInputSanity:

@@ -1,8 +1,13 @@
 """Toeplitz extraction: indexing, GF(2) algebra, streams, bit packing."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from vacqrng import toeplitz
 from vacqrng.errors import ParameterError
 from vacqrng.toeplitz import (_CHUNK_BLOCKS, ExtractorParams, ToeplitzSeed,
                               extract_block,
@@ -126,28 +131,44 @@ class TestExtractBlock:
                                   extract_block_dense(x[k], seed, params))
 
 
+def stream_bits(samples, seed, params, bits_per_sample=12) -> np.ndarray:
+    """extract_stream's packed output, unpacked (padding bits included)."""
+    return np.unpackbits(
+        extract_stream(samples, seed, params, bits_per_sample),
+        bitorder="little")
+
+
+def dense_stream(samples, seed, params, bits_per_sample=12) -> bytes:
+    """Packed concatenation of the dense oracle's outputs, block by block."""
+    raw = samples_to_bits(samples, bits_per_sample)
+    n_blocks = raw.size // params.n
+    blocks = raw[:n_blocks * params.n].reshape(n_blocks, params.n)
+    return pack_bits(np.concatenate(
+        [extract_block_dense(blk, seed, params) for blk in blocks]))
+
+
 class TestStream:
     def test_whole_blocks(self):
         params = ExtractorParams()
         seed = generate_test_seed(params, 12)
         rng = np.random.default_rng(13)
         samples = rng.integers(-4000, 4000, size=400).astype(np.int16)
-        assert extract_stream(samples, seed, params).size == 3840
+        assert stream_bits(samples, seed, params).size == 3840
 
     def test_partial_block_dropped(self):
         params = ExtractorParams()
         seed = generate_test_seed(params, 12)
         rng = np.random.default_rng(13)
         samples = rng.integers(-4000, 4000, size=399).astype(np.int16)
-        assert extract_stream(samples, seed, params).size == 1920
+        assert stream_bits(samples, seed, params).size == 1920
 
     def test_deterministic_across_runs_and_paths(self):
         params = ExtractorParams(m=48, n=96)
         seed = generate_test_seed(params, 14)
         rng = np.random.default_rng(15)
         samples = rng.integers(-4000, 4000, size=100).astype(np.int16)
-        a = extract_stream(samples, seed, params)
-        b = extract_stream(samples, seed, params)
+        a = stream_bits(samples, seed, params)
+        b = stream_bits(samples, seed, params)
         assert np.array_equal(a, b)
         raw_bits = samples_to_bits(samples)
         blocks = raw_bits[:12 * 100 // 96 * 96].reshape(-1, 96)
@@ -164,7 +185,7 @@ class TestStream:
         samples = rng.integers(-4000, 4000, size=40_003).astype(np.int16)
         n_blocks = samples.size * 12 // params.n
         assert n_blocks > _CHUNK_BLOCKS and _CHUNK_BLOCKS * params.n % 12
-        out = extract_stream(samples, seed, params).reshape(-1, params.m)
+        out = stream_bits(samples, seed, params).reshape(-1, params.m)
         blocks = samples_to_bits(samples)[:n_blocks * params.n]
         assert out.shape == (n_blocks, params.m)
         for k, block in enumerate(blocks.reshape(n_blocks, params.n)):
@@ -182,10 +203,162 @@ class TestStream:
         seed = generate_test_seed(params, 16)
         rng = np.random.default_rng(17)
         samples = rng.integers(-4000, 4000, size=2000).astype(np.int16)
-        out = extract_stream(samples, seed, params)
+        out = stream_bits(samples, seed, params)
         n_blocks = 2000 * 12 // params.n
         assert out.size == n_blocks * params.m
         assert out.size / (n_blocks * params.n) == params.m / params.n
+
+
+class TestPackedStream:
+    """extract_stream's bytes equal pack_bits of the dense oracle's."""
+
+    def test_multi_chunk_with_chunk_edge_inside_a_sample(self):
+        # 4800 blocks > _CHUNK_BLOCKS, so the helper thread hashes chunks
+        params = ExtractorParams(m=48, n=100)
+        seed = generate_test_seed(params, 30)
+        rng = np.random.default_rng(31)
+        samples = rng.integers(-4000, 4000, size=40_003).astype(np.int16)
+        assert samples.size * 12 // params.n > _CHUNK_BLOCKS
+        assert _CHUNK_BLOCKS * params.n % 12
+        packed = extract_stream(samples, seed, params)
+        assert packed.dtype == np.uint8
+        assert packed.tobytes() == dense_stream(samples, seed, params)
+
+    def test_odd_geometry_zero_padding(self):
+        # m % 8 != 0, 11 bits per sample, and n_blocks * m % 8 != 0
+        params = ExtractorParams(m=100, n=203)
+        seed = generate_test_seed(params, 32)
+        rng = np.random.default_rng(33)
+        samples = rng.integers(-1024, 1024, size=1_020).astype(np.int16)
+        n_blocks = samples.size * 11 // params.n
+        n_bits = params.output_bits(samples.size * 11)
+        assert n_bits == n_blocks * params.m and n_bits % 8
+        packed = extract_stream(samples, seed, params, bits_per_sample=11)
+        assert packed.tobytes() == dense_stream(samples, seed, params, 11)
+        unpack_bits(packed.tobytes(), n_bits)  # checks the padding is zero
+
+    @pytest.mark.parametrize("bits_per_sample", [1, 7, 16])
+    def test_bits_per_sample_range(self, bits_per_sample):
+        params = ExtractorParams(m=21, n=45)
+        seed = generate_test_seed(params, 34)
+        rng = np.random.default_rng(35)
+        samples = rng.integers(-30000, 30000, size=301).astype(np.int16)
+        assert (extract_stream(samples, seed, params, bits_per_sample)
+                .tobytes() == dense_stream(samples, seed, params,
+                                           bits_per_sample))
+
+    def test_empty_stream(self):
+        params = ExtractorParams(m=8, n=24)
+        seed = generate_test_seed(params, 36)
+        samples = np.zeros(1, dtype=np.int16)
+        assert extract_stream(samples, seed, params).size == 0
+
+    def test_multi_chunk_under_fast_thread_switching(self):
+        # each call's caller and helper share its chunk iterator; three
+        # concurrent calls (six threads on fewer cores) switching every
+        # microsecond still each equal one serial pass of the kernel, so
+        # no chunk is skipped, hashed twice or written to another's slice
+        params = ExtractorParams(m=40, n=96)
+        seed = generate_test_seed(params, 37)
+        rng = np.random.default_rng(38)
+        samples = rng.integers(-4000, 4000, size=3 * _CHUNK_BLOCKS * 8 + 100
+                               ).astype(np.int16)
+        n_blocks = samples.size * 12 // params.n
+        assert n_blocks > 3 * _CHUNK_BLOCKS
+        blocks = samples_to_bits(samples)[:n_blocks * params.n]
+        serial = pack_bits(extract_blocks(blocks.reshape(n_blocks, params.n),
+                                          seed, params))
+        outputs = {}
+
+        def run(k):
+            outputs[k] = extract_stream(samples, seed, params).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,))
+                       for k in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(outputs) == [0, 1, 2]
+        assert all(out == serial for out in outputs.values())
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        params = ExtractorParams()
+        seed = generate_test_seed(params, 39)
+        rng = np.random.default_rng(40)
+        samples = rng.integers(-4000, 4000, size=20_000).astype(np.int16)
+        counts = []
+        kernel = toeplitz._hash
+
+        def counting_hash(*args):
+            counts.append((threading.active_count(),
+                           threading.current_thread()))
+            return kernel(*args)
+
+        monkeypatch.setattr(toeplitz, "_hash", counting_hash)
+        before = threading.active_count()
+        packed = extract_stream(samples, seed, params)
+        assert counts == [(before, threading.current_thread())]
+        assert threading.active_count() == before
+        assert packed.tobytes() == pack_bits(
+            extract_blocks(samples_to_bits(samples).reshape(-1, params.n),
+                           seed, params))
+
+    def test_multi_chunk_uses_one_helper(self, monkeypatch):
+        # control for the test above: past one chunk the helper does run
+        params = ExtractorParams(m=16, n=24)
+        seed = generate_test_seed(params, 41)
+        samples = np.arange(3 * _CHUNK_BLOCKS * 2, dtype=np.int16)
+        threads = set()
+        calls = []
+        both = threading.Barrier(2, timeout=10)
+        kernel = toeplitz._hash
+
+        def recording_hash(*args):
+            calls.append(len(args[0]))
+            if threading.get_ident() not in threads:
+                threads.add(threading.get_ident())
+                both.wait()  # each thread's first chunk waits for the other
+            return kernel(*args)
+
+        monkeypatch.setattr(toeplitz, "_hash", recording_hash)
+        extract_stream(samples, seed, params)
+        assert len(threads) == 2
+        assert threading.get_ident() in threads
+        # the two threads share the chunks: each is hashed once
+        assert sorted(calls) == [_CHUNK_BLOCKS] * 3
+
+    def test_error_on_caller_stops_the_helper(self, monkeypatch):
+        # e.g. Ctrl-C, which lands on the caller's thread: the helper
+        # finishes the chunk it holds and takes no other
+        params = ExtractorParams(m=16, n=24)
+        seed = generate_test_seed(params, 42)
+        samples = np.arange(10 * _CHUNK_BLOCKS * 2, dtype=np.int16)
+        caller = threading.get_ident()
+        helper_calls = []
+        both = threading.Barrier(2, timeout=10)
+        kernel = toeplitz._hash
+
+        def failing_hash(*args):
+            if not helper_calls and threading.get_ident() == caller:
+                both.wait()
+                raise KeyboardInterrupt
+            if not helper_calls:
+                both.wait()
+                time.sleep(0.2)  # while the caller fails
+            helper_calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(toeplitz, "_hash", failing_hash)
+        with pytest.raises(KeyboardInterrupt):
+            extract_stream(samples, seed, params)
+        assert len(helper_calls) == 1
 
 
 class TestPackedBits:
