@@ -16,7 +16,7 @@ from .errors import (ConfigError, DataError, DegenerateDeviceError,
 from .optics import (DeviceParams, balance_phase, db_to_amplitude,
                      homodyne_difference, is_unreachable, pd1_current,
                      pd2_current)
-from .pipeline import benchmark_extractor, run_pipeline
+from .pipeline import run_pipeline
 from .signal_chain import (AdcSpec, DacSpec, SignalChainState, adc_quantize,
                            advance_drift, dac_to_phase, detector_block,
                            detector_sample)

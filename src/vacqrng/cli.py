@@ -6,8 +6,10 @@ Subcommands:
   extract      simulate and Toeplitz-extract; writes packed output bits
   test         statistical suite on extracted output (or --bits FILE)
   all          full pipeline with every artifact and a summary
-  paper-repro  reference-device configuration; prints a comparison table
-  benchmark    software throughput of the extraction core
+  paper-repro  full pipeline; prints a comparison with the reference run
+
+The commands share `vacqrng.pipeline`'s stages: one admission rule (also
+run at validation), one LO-off rule and one extraction stage.
 
 Exit codes: 0 success, 2 configuration/parameter errors, 3 data errors
 (e.g. no extractable entropy).
@@ -22,14 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig, load_config
-from .entropy import build_report, extractor_budget, min_entropy_discretized
+from .entropy import min_entropy_discretized
 from .errors import (ConfigError, DataError, NoExtractableEntropyError,
                      ParameterError)
-from .pipeline import (LoopSummary, benchmark_extractor, measured_samples,
-                       obtain_seed, paper_repro_table, run_pipeline,
-                       select_centered, simulate_run, suite_on_packed,
-                       write_trace)
-from .toeplitz import extract_stream, save_seed
+from .pipeline import (LoopSummary, estimate_entropy, extract_measured,
+                       measured_samples, noise_samples, paper_repro_table,
+                       run_pipeline, simulate_run, suite_on_packed,
+                       write_streams)
+from .toeplitz import save_seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,9 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add("all", "run every stage and write all artifacts")
     add("paper-repro", "reproduce the reference experiment's headline "
                        "figures and print a comparison table")
-    b = add("benchmark", "measure extraction-core software throughput")
-    b.add_argument("--bench-blocks", type=int, default=4096,
-                   help="number of full-size blocks to hash")
     return parser
 
 
@@ -85,10 +84,7 @@ def _cmd_simulate(args) -> int:
     run = simulate_run(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_trace(out / "trace.jsonl", run, config)
-    run.centered.astype("<i2", copy=False).tofile(out / "centered.i16")
-    if config.write_raw:
-        run.codes.astype("<u2", copy=False).tofile(out / "raw_codes.u16")
+    write_streams(out, run, config)
     loop = LoopSummary.from_run(run)
     print(f"{loop.n_blocks} blocks simulated; locked fraction "
           f"{loop.locked_fraction:.4f}; {loop.saturated_blocks} saturated")
@@ -98,13 +94,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     config = _load(args)
+    # LO off first: keeps repeated in-process calls' peak RSS from creeping.
+    noise = noise_samples(config)
     measured = measured_samples(config, simulate_run(config))
-    noise = select_centered(simulate_run(config, lo_off=True),
-                            exclude_saturated=True, discard_unlocked=False)
-    report = build_report(measured, noise, adc_bits=config.adc_bits)
-    budget = extractor_budget(round(report.h_min_per_sample, 2),
-                              config.extractor_n // config.adc_bits,
-                              config.extractor_params().epsilon)
+    report, budget = estimate_entropy(config, measured, noise)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "entropy.json").write_text(report.to_json() + "\n")
@@ -124,16 +117,13 @@ def _cmd_estimate(args) -> int:
 def _cmd_extract(args) -> int:
     config = _load(args)
     samples = measured_samples(config, simulate_run(config))
-    seed = obtain_seed(config)
-    params = config.extractor_params()
-    packed = extract_stream(samples, seed, params,
-                            bits_per_sample=config.adc_bits)
+    seed, packed, n_bits = extract_measured(config, samples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "extracted.bin").write_bytes(packed)
     save_seed(out / "extractor_seed.bin", seed)
-    print(f"extracted {params.output_bits(samples.size * config.adc_bits)} "
-          f"bits from {samples.size} samples -> {out / 'extracted.bin'}")
+    print(f"extracted {n_bits} bits from {samples.size} samples -> "
+          f"{out / 'extracted.bin'}")
     return 0
 
 
@@ -147,12 +137,8 @@ def _cmd_test(args) -> int:
             raise DataError(f"cannot read bitstream {args.bits}: {exc}")
         n_bits = packed.size * 8
     else:
-        samples = measured_samples(config, simulate_run(config))
-        params = config.extractor_params()
-        packed = extract_stream(samples, seed=obtain_seed(config),
-                                params=params,
-                                bits_per_sample=config.adc_bits)
-        n_bits = params.output_bits(samples.size * config.adc_bits)
+        _, packed, n_bits = extract_measured(
+            config, measured_samples(config, simulate_run(config)))
     verdict = suite_on_packed(packed, n_bits, config)
     if verdict is None:
         raise DataError(
@@ -165,31 +151,12 @@ def _cmd_test(args) -> int:
     return 0
 
 
-def _cmd_all(args) -> int:
-    config = _load(args)
-    result = run_pipeline(config, args.out)
-    print(result.summary_text())
-    return 0
-
-
-def _cmd_paper_repro(args) -> int:
-    config = _load(args)
-    result = run_pipeline(config, args.out)
-    print(paper_repro_table(result))
-    return 0
-
-
-def _cmd_benchmark(args) -> int:
-    config = _load(args)
-    report = benchmark_extractor(config.extractor_params(),
-                                 n_blocks=args.bench_blocks)
-    print(f"extraction core, {int(report['blocks'])} blocks of "
-          f"{config.extractor_n} -> {config.extractor_m} bits:")
-    print(f"  fast path : {report['output_mbps']:.1f} Mbit/s out "
-          f"({report['input_mbps']:.1f} Mbit/s in, "
-          f"{report['fast_seconds']:.3f} s)")
-    print(f"  dense ref : {report['dense_output_mbps']:.2f} Mbit/s out "
-          f"({report['dense_seconds_per_block'] * 1e3:.1f} ms/block)")
+def _cmd_run(args) -> int:
+    """`all` and `paper-repro`: the full pipeline; they differ only in
+    what they print."""
+    result = run_pipeline(_load(args), args.out)
+    print(paper_repro_table(result) if args.command == "paper-repro"
+          else result.summary_text())
     return 0
 
 
@@ -198,9 +165,8 @@ _HANDLERS = {
     "estimate": _cmd_estimate,
     "extract": _cmd_extract,
     "test": _cmd_test,
-    "all": _cmd_all,
-    "paper-repro": _cmd_paper_repro,
-    "benchmark": _cmd_benchmark,
+    "all": _cmd_run,
+    "paper-repro": _cmd_run,
 }
 
 

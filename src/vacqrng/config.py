@@ -21,7 +21,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .controller import ControllerConfig
-from .errors import ConfigError
+from .entropy import block_budget
+from .errors import ConfigError, NoExtractableEntropyError, ParameterError
 from .optics import DeviceParams
 from .signal_chain import (SIGMA_E_CALIBRATED, SIGMA_VAC_CALIBRATED,
                            AdcSpec, DacSpec, SignalChainState)
@@ -148,15 +149,13 @@ class PipelineConfig:
         adc = self.adc_spec()
         dac = self.dac_spec()
         self.controller_config()
-        self.extractor_params()
+        extractor = self.extractor_params()
 
         if abs(dac.v_range - 2 * self.v_pi) > 1e-9:
             warnings.warn(
                 f"DAC range {dac.v_range} V != 2*v_pi = {2 * self.v_pi} V: "
                 "code wraparound will not be an exact phase wrap",
                 stacklevel=2)
-        if self.interval_a > self.interval_b:
-            raise ConfigError("interval_a must be <= interval_b")
         if self.block_size_n * adc.max_code < self.interval_b:
             warnings.warn("decision interval lies above the largest possible "
                           "block sum", stacklevel=2)
@@ -171,16 +170,18 @@ class PipelineConfig:
             raise ConfigError("master_seed must fit in 64 bits")
 
         # Leftover-hash budget: the configured geometry must be coverable
-        # by the entropy the configured noise implies.  h is rounded to the
-        # 0.01-bit reporting precision the extractor was sized with.
+        # by the entropy the configured noise implies.
         if self.p_lo > 0 and self.sigma_vac > 0:
-            h = round(self.expected_h_min(), 2)
-            budget = (self.extractor_n / self.adc_bits) * h \
-                - 2.0 * self.epsilon_log2
-            if self.extractor_m > budget + 1e-9:
+            h = self.expected_h_min()
+            try:
+                budget = block_budget(h, self.extractor_n, self.adc_bits,
+                                      extractor.epsilon)
+            except (NoExtractableEntropyError, ParameterError) as exc:
+                raise ConfigError(f"no leftover-hash budget: {exc}") from exc
+            if self.extractor_m > budget:
                 raise ConfigError(
                     f"extractor_m={self.extractor_m} exceeds the leftover-hash "
-                    f"budget {budget:.1f} bits (h_min={h:.2f} bits/sample, "
+                    f"budget {budget} bits (h_min={h:.2f} bits/sample, "
                     f"epsilon=2^-{self.epsilon_log2})")
 
     def to_text(self) -> str:

@@ -81,6 +81,16 @@ def extractor_budget(h_min_per_sample: float, samples_per_block: int,
     return budget
 
 
+def block_budget(h_min_per_sample: float, n: int, bits_per_sample: int,
+                 epsilon: float) -> int:
+    """The admission rule: leftover-hash budget of one n-bit input block,
+    from its whole samples n // bits_per_sample at h_min rounded to the
+    0.01-bit precision the extractor geometry is sized with.  Validation
+    applies it to the configured noise, every estimate to the measured."""
+    return extractor_budget(round(h_min_per_sample, 2), n // bits_per_sample,
+                            epsilon)
+
+
 @dataclass(frozen=True)
 class EntropyReport:
     """Variance and min-entropy summary of a measurement/noise run pair."""

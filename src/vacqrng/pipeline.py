@@ -22,12 +22,12 @@ import numpy as np
 
 from .config import PipelineConfig
 from .controller import LoopRun, run_closed_loop
-from .entropy import (EntropyReport, build_report, extractor_budget,
+from .entropy import (EntropyReport, block_budget, build_report,
                       min_entropy_discretized)
 from .errors import DataError, NoExtractableEntropyError
 from .stattests import SuiteVerdict, pass_proportion_interval, run_suite
-from .toeplitz import (ExtractorParams, ToeplitzSeed, extract_stream,
-                       generate_test_seed, load_seed, save_seed)
+from .toeplitz import (ToeplitzSeed, extract_stream, generate_test_seed,
+                       load_seed, save_seed)
 
 # Headline figures of the reference hardware experiment this simulator
 # models; `paper-repro` prints measured values against them.
@@ -130,12 +130,15 @@ def _write_json(path: Path, payload: dict, config: PipelineConfig) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def write_trace(path: Path, run: LoopRun, config: PipelineConfig) -> None:
-    """Per-block trace: a provenance header line, then one JSON object per
-    block with sorted keys (dac_after, dac_before, index, locked, saturated,
-    sum)."""
+def write_streams(out: Path, run: LoopRun,
+                  config: PipelineConfig) -> dict[str, Path]:
+    """Write trace.jsonl (a provenance header line, then one JSON object
+    per block with sorted keys dac_after, dac_before, index, locked,
+    saturated, sum), centered.i16 and, if `write_raw`, raw_codes.u16.
+    Returns the written paths by artifact name."""
+    paths = {"trace": out / "trace.jsonl", "centered": out / "centered.i16"}
     flag = {False: "false", True: "true"}
-    with path.open("w") as fh:
+    with paths["trace"].open("w") as fh:
         fh.write(json.dumps({"kind": "block-trace", **_provenance(config)},
                             sort_keys=True) + "\n")
         fh.writelines(
@@ -146,6 +149,11 @@ def write_trace(path: Path, run: LoopRun, config: PipelineConfig) -> None:
                 run.dac_after.tolist(), run.dac_before.tolist(),
                 run.locked.tolist(), run.saturated.tolist(),
                 run.sums.tolist())))
+    run.centered.astype("<i2", copy=False).tofile(paths["centered"])
+    if config.write_raw:
+        paths["raw_codes"] = out / "raw_codes.u16"
+        run.codes.astype("<u2", copy=False).tofile(paths["raw_codes"])
+    return paths
 
 
 def simulate_run(config: PipelineConfig, lo_off: bool = False,
@@ -200,11 +208,36 @@ def measured_samples(config: PipelineConfig, run: LoopRun) -> np.ndarray:
                            discard_unlocked=config.discard_unlocked)
 
 
-def obtain_seed(config: PipelineConfig) -> ToeplitzSeed:
+def noise_samples(config: PipelineConfig) -> np.ndarray:
+    """The LO-off samples the estimate reads: the whole frozen noise run.
+    A frozen loop never acts on its lock flags, so none select blocks."""
+    return simulate_run(config, lo_off=True).centered.reshape(-1)
+
+
+def estimate_entropy(config: PipelineConfig, measured: np.ndarray,
+                     noise: np.ndarray) -> tuple[EntropyReport, int]:
+    """Min-entropy report of the measured and noise samples, and the
+    leftover-hash budget per extractor block it admits."""
+    report = build_report(measured, noise, adc_bits=config.adc_bits)
+    return report, block_budget(report.h_min_per_sample, config.extractor_n,
+                                config.adc_bits,
+                                config.extractor_params().epsilon)
+
+
+def extract_measured(config: PipelineConfig, measured: np.ndarray,
+                     ) -> tuple[ToeplitzSeed, np.ndarray, int]:
+    """Toeplitz-hash the measured samples, adc_bits per sample, with the
+    seed of `seed_file` or else the master seed's test seed.  Returns the
+    seed, the packed output and its length in bits."""
     params = config.extractor_params()
     if config.seed_file:
-        return load_seed(config.seed_file, params)
-    return generate_test_seed(params, config.stream_seeds()["extractor_seed"])
+        seed = load_seed(config.seed_file, params)
+    else:
+        seed = generate_test_seed(params,
+                                  config.stream_seeds()["extractor_seed"])
+    packed = extract_stream(measured, seed, params,
+                            bits_per_sample=config.adc_bits)
+    return seed, packed, params.output_bits(measured.size * config.adc_bits)
 
 
 def suite_on_packed(packed: np.ndarray, n_bits: int,
@@ -237,17 +270,11 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
     # LO on: closed loop.
     run_on = simulate_run(config, lo_off=False)
     loop = LoopSummary.from_run(run_on)
-    write_trace(out / "trace.jsonl", run_on, config)
-    artifacts["trace"] = out / "trace.jsonl"
-    if config.write_raw:
-        run_on.codes.astype("<u2", copy=False).tofile(out / "raw_codes.u16")
-        artifacts["raw_codes"] = out / "raw_codes.u16"
-    run_on.centered.astype("<i2", copy=False).tofile(out / "centered.i16")
-    artifacts["centered"] = out / "centered.i16"
+    artifacts.update(write_streams(out, run_on, config))
 
     # LO off: frozen controller noise run.
-    noise_centered = simulate_run(config, lo_off=True).centered.reshape(-1)
-    noise_centered.astype("<i2", copy=False).tofile(out / "noise_centered.i16")
+    noise = noise_samples(config)
+    noise.astype("<i2", copy=False).tofile(out / "noise_centered.i16")
     artifacts["noise_centered"] = out / "noise_centered.i16"
 
     # Entropy estimation on filtered blocks.
@@ -258,13 +285,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
     extract_seconds = 0.0
     try:
         measured = measured_samples(config, run_on)
-        entropy = build_report(measured, noise_centered,
-                               adc_bits=config.adc_bits)
-        # Budget at the 0.01-bit reporting precision the extractor
-        # geometry is sized with.
-        budget = extractor_budget(round(entropy.h_min_per_sample, 2),
-                                  config.extractor_n // config.adc_bits,
-                                  config.extractor_params().epsilon)
+        entropy, budget = estimate_entropy(config, measured, noise)
         if config.extractor_m > budget:
             raise NoExtractableEntropyError(
                 f"measured h_min {entropy.h_min_per_sample:.3f} bits/sample "
@@ -279,15 +300,11 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
         artifacts["entropy"] = out / "entropy.json"
 
         # Extraction reads the blocks the estimate was made on.
-        seed = obtain_seed(config)
+        t0 = time.perf_counter()
+        seed, packed, extracted_bits = extract_measured(config, measured)
+        extract_seconds = time.perf_counter() - t0
         save_seed(out / "extractor_seed.bin", seed)
         artifacts["extractor_seed"] = out / "extractor_seed.bin"
-        params = config.extractor_params()
-        t0 = time.perf_counter()
-        packed = extract_stream(measured, seed, params,
-                                bits_per_sample=config.adc_bits)
-        extract_seconds = time.perf_counter() - t0
-        extracted_bits = params.output_bits(measured.size * config.adc_bits)
         (out / "extracted.bin").write_bytes(packed)
         artifacts["extracted"] = out / "extracted.bin"
 
@@ -362,37 +379,3 @@ def paper_repro_table(result: RunResult) -> str:
     body = [f"{name:<{name_w}}{ref:>{ref_w}}{got:>{got_w}}"
             for name, ref, got in rows]
     return "\n".join([head, "-" * len(head), *body])
-
-
-def benchmark_extractor(params: ExtractorParams | None = None,
-                        n_blocks: int = 4096, seed_value: int = 7,
-                        ) -> dict[str, float]:
-    """Measure sustained software throughput of the extraction core."""
-    from .toeplitz import extract_block_dense, extract_blocks
-
-    params = params or ExtractorParams()
-    rng = np.random.default_rng(seed_value)
-    seed = generate_test_seed(params, seed_value)
-    blocks = rng.integers(0, 2, size=(n_blocks, params.n), dtype=np.uint8)
-
-    # Warm-up, so that first-touch page faults fall outside the timing.
-    extract_blocks(blocks[:64], seed, params)
-    t0 = time.perf_counter()
-    out = extract_blocks(blocks, seed, params)
-    fast_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    extract_block_dense(blocks[0], seed, params)
-    dense_s = time.perf_counter() - t0
-
-    in_bits = n_blocks * params.n
-    out_bits = n_blocks * params.m
-    assert out.shape == (n_blocks, params.m)
-    return {
-        "blocks": float(n_blocks),
-        "fast_seconds": fast_s,
-        "input_mbps": in_bits / fast_s / 1e6,
-        "output_mbps": out_bits / fast_s / 1e6,
-        "dense_seconds_per_block": dense_s,
-        "dense_output_mbps": params.m / dense_s / 1e6,
-    }

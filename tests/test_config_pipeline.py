@@ -2,10 +2,16 @@
 
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vacqrng
 from vacqrng import pipeline
 from vacqrng.cli import main
 from vacqrng.config import PipelineConfig, load_config, parse_config_text
@@ -83,9 +89,14 @@ class TestConfigValidation:
     def test_budget_violation_rejected(self):
         with pytest.raises(ConfigError, match="leftover-hash"):
             parse_config_text("extractor_m = 2400\nextractor_n = 2400\n")
+        # 2410 bits hold 200 whole 12-bit samples, not 200.8: the budget
+        # is 1920 bits, as a run would measure it.
+        with pytest.raises(ConfigError, match="leftover-hash"):
+            parse_config_text("extractor_m = 1925\nextractor_n = 2410\n")
 
     def test_default_geometry_admitted(self):
         PipelineConfig().validate()
+        PipelineConfig(extractor_m=1920, extractor_n=2410).validate()
 
     def test_dac_range_warning(self):
         with pytest.warns(UserWarning, match="2\\*v_pi"):
@@ -263,12 +274,42 @@ class TestCli:
         assert verdict["n_sequences"] == 5
         assert "acceptance band" in capsys.readouterr().out
 
-    def test_benchmark_command(self, capsys, tmp_path):
-        code = main(["benchmark", "--bench-blocks", "64",
-                     "--out", str(tmp_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Mbit/s" in out and "fast path" in out
+    def test_estimate_budget_matches_all(self, tmp_path, capsys):
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(PipelineConfig(**QUICK).to_text())
+        assert main(["estimate", "--config", str(cfg),
+                     "--out", str(tmp_path / "est")]) == 0
+        printed = re.search(r"leftover-hash budget: (\d+) bits",
+                            capsys.readouterr().out)
+        assert main(["all", "--config", str(cfg),
+                     "--out", str(tmp_path / "all")]) == 0
+        entropy = json.loads((tmp_path / "all" / "entropy.json").read_text())
+        assert int(printed.group(1)) == entropy["budget_bits_per_block"]
+
+    def test_estimate_reads_whole_lo_off_run(self, tmp_path):
+        # With the decision interval moved off the balance point, the
+        # frozen LO-off run never reports a locked block; its samples are
+        # the noise estimate all the same.
+        cfg = tmp_path / "moved.cfg"
+        cfg.write_text(PipelineConfig(**QUICK, interval_a=2_060_000,
+                                      interval_b=2_070_000).to_text())
+        assert main(["estimate", "--config", str(cfg),
+                     "--out", str(tmp_path / "est")]) == 0
+        assert main(["all", "--config", str(cfg),
+                     "--out", str(tmp_path / "all")]) == 0
+        est = json.loads((tmp_path / "est" / "entropy.json").read_text())
+        full = json.loads((tmp_path / "all" / "entropy.json").read_text())
+        assert est == {key: full[key] for key in est}
+
+    def test_import_starts_no_thread(self):
+        # Worker threads start only inside the loop and the extractor.
+        code = ("import threading, vacqrng.cli; "
+                "print(threading.active_count())")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(vacqrng.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "1"
 
     def test_paper_repro_command(self, tmp_path, capsys):
         cfg = tmp_path / "quick.cfg"
