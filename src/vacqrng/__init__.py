@@ -7,8 +7,7 @@ statistically validates the output bits.
 """
 
 from .config import PipelineConfig, load_config
-from .controller import (ControllerConfig, ControllerState, LoopRun, decide,
-                         run_closed_loop)
+from .controller import ControllerConfig, LoopRun, decide, run_closed_loop
 from .entropy import (EntropyReport, build_report, extractor_budget,
                       min_entropy, sample_variance)
 from .errors import (ConfigError, DataError, DegenerateDeviceError,
@@ -17,9 +16,7 @@ from .optics import (DeviceParams, balance_phase, db_to_amplitude,
                      homodyne_difference, is_unreachable, pd1_current,
                      pd2_current)
 from .pipeline import run_pipeline
-from .signal_chain import (AdcSpec, DacSpec, SignalChainState, adc_quantize,
-                           advance_drift, dac_to_phase, detector_block,
-                           detector_sample)
+from .signal_chain import AdcSpec, DacSpec, SignalChainState, dac_to_phase
 from .stattests import (SuiteVerdict, TestOutcome, approximate_entropy_test,
                         block_frequency_test, cumulative_sums_test,
                         monobit_test, pass_proportion_interval, run_suite,

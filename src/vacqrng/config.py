@@ -144,12 +144,17 @@ class PipelineConfig:
 
     def validate(self) -> None:
         """Cross-field consistency; raises ConfigError on hard violations."""
-        # Constructing the typed views runs each component's own checks.
-        self.device_params()
-        adc = self.adc_spec()
-        dac = self.dac_spec()
-        self.controller_config()
-        extractor = self.extractor_params()
+        # Constructing the typed views runs each component's own checks;
+        # a value one of them rejects is a configuration error.
+        try:
+            self.device_params()
+            adc = self.adc_spec()
+            dac = self.dac_spec()
+            self.controller_config()
+            extractor = self.extractor_params()
+            self.chain_state(0)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
 
         if abs(dac.v_range - 2 * self.v_pi) > 1e-9:
             warnings.warn(

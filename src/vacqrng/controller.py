@@ -14,21 +14,21 @@ retaining one fractional bit of the mean.
 
 A run is one `LoopRun` of arrays with a row or an entry per block: raw
 codes, centered samples, block sums, DAC codes before and after each
-decision, lock and saturation flags.  Its noise is drawn in chunks of
-CHUNK_BLOCKS blocks, each one `standard_normal` fill whose rows hold, per
-block, the N quantum, N electronic and one drift normal that a per-block
-`detector_block` + `advance_drift` pair would draw, in the same stream
-order (see `signal_chain.draw_block_noise`).  The fill is the same stream
-split at block boundaries and every voltage, code and phase is formed with
-the same floating-point operations in the same order, so a seed gives the
-same run, bit for bit, as drawing block by block.  The fill is about half
-of the loop's cost and cannot be split (the ziggurat sampler takes a
-variable number of words per normal), so one worker thread draws chunk
-j + 1 into the second of two preallocated buffers while the caller's
-thread runs the sequential part of chunk j: per block, the mean voltage at
-the current phase, quantization, SUM and `decide`; then, per chunk, the
-saturation flags, the stored codes and the centering in one vectorized
-pass.  numpy releases the GIL while it fills the buffer.
+decision, lock and saturation flags.  Per block the chain's stream holds N
+quantum, then N electronic, then one drift normal.  The noise is drawn in
+chunks of CHUNK_BLOCKS blocks, each one `standard_normal` fill whose row i
+holds block i's draws in that order (see `signal_chain.draw_block_noise`).
+A fill is the stream split at block boundaries and every voltage, code and
+phase is formed with the same floating-point operations in the same order
+whatever the chunk, so a seed gives the same run, bit for bit, at any
+chunk size.  The fill is about half of the loop's cost and cannot be split
+(the ziggurat sampler takes a variable number of words per normal), so one
+worker thread draws chunk j + 1 into the second of two preallocated
+buffers while the caller's thread runs the sequential part of chunk j: per
+block, the mean voltage at the current phase, quantization, SUM and
+`decide`; then, per chunk, the saturation flags, the stored codes and the
+centering in one vectorized pass.  numpy releases the GIL while it fills
+the buffer.
 """
 
 from __future__ import annotations
@@ -76,14 +76,6 @@ class ControllerConfig:
 
 
 @dataclass(frozen=True)
-class ControllerState:
-    dac_data: int
-    blocks_processed: int = 0
-    last_sum: int = 0
-    locked: bool = False
-
-
-@dataclass(frozen=True)
 class LoopRun:
     """A closed-loop run as arrays, one row or entry per block.
 
@@ -111,36 +103,25 @@ class LoopRun:
         return int(np.argmax(self.locked)) if self.locked.any() else None
 
 
-def initial_state(cfg: ControllerConfig) -> ControllerState:
-    return ControllerState(dac_data=cfg.dac_init)
-
-
 def decide(sum_value: int, cfg: ControllerConfig,
-           state: ControllerState) -> ControllerState:
-    """Apply the per-block decision to the DAC register.
+           dac: int) -> tuple[int, bool]:
+    """The DAC code after one block's decision, and whether SUM locked.
 
-    SUM in [A, B]: hold and mark locked.  SUM < A: step the code down by c,
+    SUM in [A, B]: hold and lock.  SUM < A: step the code down by c,
     jumping to 2^n - c when the code is below c.  SUM > B: step up by c,
     jumping to c when the code is above 2^n - c.  The register is n bits,
     so the residual boundary case (code exactly 2^n - c stepping up) wraps
     modulo 2^n like the hardware adder would.
     """
-    dac = state.dac_data
-    mod = cfg.dac_modulus
     if cfg.interval_a <= sum_value <= cfg.interval_b:
-        return ControllerState(dac_data=dac,
-                               blocks_processed=state.blocks_processed + 1,
-                               last_sum=sum_value, locked=True)
+        return dac, True
     decrease = sum_value < cfg.interval_a
     if cfg.invert_loop:
         decrease = not decrease
+    mod, c = cfg.dac_modulus, cfg.step_c
     if decrease:
-        dac = mod - cfg.step_c if dac < cfg.step_c else dac - cfg.step_c
-    else:
-        dac = cfg.step_c if dac > mod - cfg.step_c else (dac + cfg.step_c) % mod
-    return ControllerState(dac_data=dac,
-                           blocks_processed=state.blocks_processed + 1,
-                           last_sum=sum_value, locked=False)
+        return (mod - c if dac < c else dac - c), False
+    return (c if dac > mod - c else (dac + c) % mod), False
 
 
 def center_codes(codes: np.ndarray, block_sum) -> np.ndarray:
@@ -162,7 +143,7 @@ def run_closed_loop(params: DeviceParams, chain: SignalChainState,
                     adc: AdcSpec | None = None,
                     dac: DacSpec | None = None,
                     frozen: bool = False,
-                    initial: ControllerState | None = None) -> LoopRun:
+                    initial: int | None = None) -> LoopRun:
     """Simulate n_blocks compensation periods of the closed loop.
 
     Per block: sample block_size_n detector outputs at the current total
@@ -170,6 +151,7 @@ def run_closed_loop(params: DeviceParams, chain: SignalChainState,
     drift by one block period.  The new DAC code applies from the next
     block (one-block actuation latency).  `frozen=True` holds the DAC code
     fixed (noise-only runs, where SUM carries no phase information).
+    `initial` is the starting DAC code, `cfg.dac_init` by default.
     `chain` is advanced in place, past exactly the draws of n_blocks.
     """
     # Imported here so that importing the package starts no thread
@@ -203,7 +185,7 @@ def run_closed_loop(params: DeviceParams, chain: SignalChainState,
     clipped = np.empty((rows, n))
     starts = range(0, n_blocks, CHUNK_BLOCKS)
     difference = homodyne_curve(params)
-    state = initial if initial is not None else initial_state(cfg)
+    code = cfg.dac_init if initial is None else initial
 
     def draw(j: int) -> np.ndarray:
         k = min(CHUNK_BLOCKS, n_blocks - starts[j])
@@ -219,19 +201,19 @@ def run_closed_loop(params: DeviceParams, chain: SignalChainState,
                                                            noise, tau)
             k = len(noise)
             for i, step in enumerate(drift.tolist()):
-                phase = dac_to_phase(state.dac_data, dac, params.v_pi)
+                phase = dac_to_phase(code, dac, params.v_pi)
                 mean = difference(chain.delta_phi_ambient + phase)
                 volts = detector_volts(mean, quantum[i], electronic[i],
                                        out=raw[i])
                 adc_ideal_codes(volts, adc, out=volts)
                 block_sum = int(adc_clip(volts, adc, out=clipped[i]).sum())
-                new_state = decide(block_sum, cfg, state)
+                new_code, lock = decide(block_sum, cfg, code)
                 sums.append(block_sum)
-                dac_before.append(state.dac_data)
-                locked.append(new_state.locked)
+                dac_before.append(code)
+                locked.append(lock)
                 if not frozen:
-                    state = new_state
-                dac_after.append(state.dac_data)
+                    code = new_code
+                dac_after.append(code)
                 chain.delta_phi_ambient = drift_phase(
                     chain.delta_phi_ambient, step)
             # Saturated: clipping moved a sample of the block.

@@ -175,23 +175,19 @@ def simulate_run(config: PipelineConfig, lo_off: bool = False,
                            dac=config.dac_spec(), frozen=lo_off)
 
 
-def select_centered(run: LoopRun, exclude_saturated: bool,
-                    discard_unlocked: bool,
-                    skip_startup: bool = True) -> np.ndarray:
+def select_centered(run: LoopRun, discard_unlocked: bool) -> np.ndarray:
     """Concatenate the centered samples of the blocks that feed downstream.
 
-    `skip_startup` drops everything before the first locked block: during
-    loop acquisition the detector sits far off center, and those transient
+    Everything before the first locked block is dropped: during loop
+    acquisition the detector sits far off center, and those transient
     blocks (railed or strongly offset) are not representative output.
-    Steady-state unlocked blocks (the loop dithering around the interval)
-    are kept unless `discard_unlocked` is set.
+    Saturated blocks are dropped too.  Steady-state unlocked blocks (the
+    loop dithering around the interval) are kept unless `discard_unlocked`
+    is set.
     """
-    keep = np.ones(len(run), dtype=bool)
-    if skip_startup:
-        first = run.first_locked()
-        keep[:len(run) if first is None else first] = False
-    if exclude_saturated:
-        keep &= ~run.saturated
+    keep = ~run.saturated
+    first = run.first_locked()
+    keep[:len(run) if first is None else first] = False
     if discard_unlocked:
         keep &= run.locked
     if not keep.any():
@@ -204,8 +200,7 @@ def measured_samples(config: PipelineConfig, run: LoopRun) -> np.ndarray:
     from the first lock on, saturated blocks never, unlocked blocks
     unless `discard_unlocked` is set.  A railed block centers to a
     constant stream that would dilute the output with known bits."""
-    return select_centered(run, exclude_saturated=True,
-                           discard_unlocked=config.discard_unlocked)
+    return select_centered(run, discard_unlocked=config.discard_unlocked)
 
 
 def noise_samples(config: PipelineConfig) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .optics import DeviceParams, homodyne_difference
+from .optics import DeviceParams
 
 _LSB_12BIT = 1.0 / 4096.0
 SIGMA_E_CALIBRATED = math.sqrt(166.09 - 1.0 / 12.0) * _LSB_12BIT
@@ -43,6 +43,8 @@ class AdcSpec:
             raise ParameterError(f"ADC bits must be in [4, 24], got {self.bits}")
         if self.v_range <= 0:
             raise ParameterError("ADC v_range must be positive")
+        if self.sample_rate <= 0:
+            raise ParameterError("ADC sample_rate must be positive")
 
     @property
     def lsb(self) -> float:
@@ -99,41 +101,13 @@ def adc_clip(raw, adc: AdcSpec, out=None) -> np.ndarray:
     return np.clip(raw, 0, adc.max_code, out=out)
 
 
-def adc_convert(v, adc: AdcSpec) -> tuple[np.ndarray, int]:
-    """Quantize detector voltages to ADC codes and count clipped samples.
-
-    Mid-tread mapping of [-v_range/2, +v_range/2]:
-    code = clamp(round(v/LSB) + 2^(bits-1), 0, 2^bits - 1).  Returns the
-    int64 codes and the number of samples whose ideal code fell outside
-    the range and was clipped to an end code (saturation).
-    """
-    v = np.asarray(v, dtype=np.float64)
-    # 1-d, so that a scalar v also has an array for the in-place steps
-    raw = adc_ideal_codes(v.reshape(-1), adc).reshape(v.shape)
-    codes = adc_clip(raw, adc)
-    return codes.astype(np.int64), int(np.count_nonzero(codes != raw))
-
-
-def adc_quantize(v, adc: AdcSpec):
-    """ADC codes of detector voltage(s); accepts scalars or arrays."""
-    codes, _ = adc_convert(v, adc)
-    if np.isscalar(v) or np.ndim(v) == 0:
-        return int(codes)
-    return codes
-
-
-def adc_saturation_count(v, adc: AdcSpec) -> int:
-    """Number of samples whose ideal code falls outside the ADC range."""
-    return adc_convert(v, adc)[1]
-
-
 @dataclass
 class SignalChainState:
     """One logical sample stream: ambient phase, noise levels, PRNG.
 
-    Sampling and drift operations consume the internal PRNG stream, so a
-    state must not be shared between concurrent callers; distinct seeds
-    give fully independent streams.
+    Noise draws consume the internal PRNG stream, so a state must not be
+    shared between concurrent callers; distinct seeds give fully
+    independent streams.
     """
 
     delta_phi_ambient: float = 0.0
@@ -157,28 +131,6 @@ class SignalChainState:
         return self.sigma_vac * math.sqrt(p_lo / self.p_ref)
 
 
-def detector_sample(params: DeviceParams, state: SignalChainState,
-                    phase_control: float) -> float:
-    """One detector output sample (volts) at the given modulator phase."""
-    return float(detector_block(params, state, phase_control, 1)[0])
-
-
-def detector_block(params: DeviceParams, state: SignalChainState,
-                   phase_control: float, n: int) -> np.ndarray:
-    """n consecutive detector samples at a fixed modulator phase.
-
-    The deterministic part is the homodyne difference at the total phase
-    (ambient + control); the quantum and electronic noise terms are drawn
-    from the stream PRNG, one (Q, E) pair per sample in order.
-    """
-    mean = homodyne_difference(params,
-                               state.delta_phi_ambient + phase_control)
-    sigma_q = state.quantum_std(params.p_lo)
-    quantum = state._rng.standard_normal(n)
-    electronic = state._rng.standard_normal(n)
-    return detector_volts(mean, sigma_q * quantum, state.sigma_e * electronic)
-
-
 def detector_volts(mean: float, quantum: np.ndarray, electronic: np.ndarray,
                    out=None) -> np.ndarray:
     """Detector output from its mean and the scaled noise terms, added in
@@ -187,29 +139,16 @@ def detector_volts(mean: float, quantum: np.ndarray, electronic: np.ndarray,
     return np.add(out, electronic, out=out)
 
 
-def advance_drift(state: SignalChainState, dt: float) -> SignalChainState:
-    """Advance the ambient phase random walk by dt seconds (in place).
-
-    The increment is N(0, drift_rate_std^2 * dt); the phase is wrapped
-    into [0, 2*pi).
-    """
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
-    step = state._rng.normal(0.0, state.drift_rate_std * math.sqrt(dt))
-    state.delta_phi_ambient = drift_phase(state.delta_phi_ambient, step)
-    return state
-
-
 def drift_phase(phase: float, step: float) -> float:
     """Ambient phase after one drift increment, wrapped into [0, 2*pi)."""
     return (phase + step) % (2 * math.pi)
 
 
-# Bulk noise.  Per block, `detector_block(n)` followed by `advance_drift`
-# consumes n quantum, n electronic and one drift normal, in that order, and
-# Generator.normal(0, s) is s times the next standard normal.  One
-# standard_normal fill of k rows of 2n + 1 therefore holds exactly the
-# draws of k such blocks, row i being block i.
+# Bulk noise.  Per block of n samples the stream holds n quantum, then n
+# electronic, then one drift normal.  A standard_normal fill takes the
+# stream in C order, so a fill of k rows of 2n + 1 holds exactly the draws
+# of the next k blocks, row i being block i, and its first row equals a
+# one-row fill: a run may be drawn in chunks of any size.
 
 def block_noise_width(n: int) -> int:
     """Standard normals one block of n samples draws: Q(n), E(n), drift."""

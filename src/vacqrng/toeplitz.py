@@ -145,19 +145,12 @@ def extract_block(block_bits: np.ndarray, seed: ToeplitzSeed,
 
 
 def extract_blocks(blocks: np.ndarray, seed: ToeplitzSeed,
-                   params: ExtractorParams, *,
-                   table: np.ndarray | None = None) -> np.ndarray:
-    """Extract many blocks at once: (k, n) bits in, (k, m) bits out.
-
-    `table` is `_byte_table(seed, params)`; callers hashing many batches
-    with one seed build it once and pass it in.
-    """
+                   params: ExtractorParams) -> np.ndarray:
+    """Extract many blocks at once: (k, n) bits in, (k, m) bits out."""
     blocks = np.asarray(blocks)
     if blocks.ndim != 2 or blocks.shape[1] != params.n:
         raise ParameterError(f"blocks must have shape (k, {params.n})")
-    if table is None:
-        table = _byte_table(seed, params)
-    return _hash(blocks, table, params.m)
+    return _hash(blocks, _byte_table(seed, params), params.m)
 
 
 def _hash(blocks: np.ndarray, table: np.ndarray, m: int) -> np.ndarray:

@@ -12,12 +12,11 @@ stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from vacqrng.controller import (ControllerConfig, ControllerState, LoopRun,
-                                center_codes, decide, initial_state)
+from vacqrng.controller import ControllerConfig, LoopRun, center_codes, decide
 from vacqrng.errors import ParameterError
 from vacqrng.optics import DeviceParams, homodyne_difference
 from vacqrng.signal_chain import AdcSpec, DacSpec, SignalChainState
@@ -45,37 +44,38 @@ class BlockRecord:
     saturated: bool
 
 
-def process_block(codes: np.ndarray, cfg: ControllerConfig,
-                  state: ControllerState,
-                  saturated: bool = False) -> tuple[SampleBlock, ControllerState]:
-    """Sum a block, run the decision, and produce centered samples."""
+def process_block(codes: np.ndarray, cfg: ControllerConfig, dac: int,
+                  saturated: bool = False) -> tuple[SampleBlock, int, bool]:
+    """Sum a block, run the decision, and produce centered samples.
+
+    Returns the block, the DAC code after the decision and the lock flag.
+    """
     codes = np.asarray(codes)
     if len(codes) != cfg.block_size_n:
         raise ParameterError(
             f"expected {cfg.block_size_n} codes, got {len(codes)}")
     block_sum = int(codes.sum())
-    new_state = decide(block_sum, cfg, state)
+    new_dac, locked = decide(block_sum, cfg, dac)
     block = SampleBlock(codes=codes, sum=block_sum,
                         centered=center_codes(codes, block_sum),
                         saturated=saturated)
-    return block, new_state
+    return block, new_dac, locked
 
 
 def run_per_block(params: DeviceParams, chain: SignalChainState,
                   cfg: ControllerConfig, n_blocks: int,
                   adc: AdcSpec | None = None, dac: DacSpec | None = None,
                   frozen: bool = False,
-                  initial: ControllerState | None = None,
+                  initial: int | None = None,
                   ) -> tuple[list[SampleBlock], list[BlockRecord]]:
     adc = adc or AdcSpec()
     dac = dac or DacSpec()
     tau = cfg.block_size_n / adc.sample_rate
-    state = initial if initial is not None else initial_state(cfg)
+    code = cfg.dac_init if initial is None else initial
     blocks: list[SampleBlock] = []
     trace: list[BlockRecord] = []
     for i in range(n_blocks):
-        phase = math.pi * (state.dac_data * dac.v_range / 2 ** dac.bits) \
-            / params.v_pi
+        phase = math.pi * (code * dac.v_range / 2 ** dac.bits) / params.v_pi
         mean = homodyne_difference(params, chain.delta_phi_ambient + phase)
         quantum = chain._rng.standard_normal(cfg.block_size_n)
         electronic = chain._rng.standard_normal(cfg.block_size_n)
@@ -84,17 +84,15 @@ def run_per_block(params: DeviceParams, chain: SignalChainState,
         raw = np.rint(volts / adc.lsb) + adc.mid_code
         saturated = bool(np.any((raw < 0) | (raw > adc.max_code)))
         codes = np.clip(raw, 0, adc.max_code).astype(np.int64)
-        dac_before = state.dac_data
-        block, new_state = process_block(codes, cfg, state, saturated=saturated)
+        block, new_code, locked = process_block(codes, cfg, code,
+                                                saturated=saturated)
         if frozen:
-            new_state = replace(new_state, dac_data=dac_before)
-        trace.append(BlockRecord(index=i, sum=block.sum,
-                                 dac_before=dac_before,
-                                 dac_after=new_state.dac_data,
-                                 locked=new_state.locked,
+            new_code = code
+        trace.append(BlockRecord(index=i, sum=block.sum, dac_before=code,
+                                 dac_after=new_code, locked=locked,
                                  saturated=saturated))
         blocks.append(block)
-        state = new_state
+        code = new_code
         step = chain._rng.normal(0.0, chain.drift_rate_std * math.sqrt(tau))
         chain.delta_phi_ambient = (chain.delta_phi_ambient + step) \
             % (2 * math.pi)

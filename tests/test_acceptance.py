@@ -28,11 +28,11 @@ import pytest
 from scipy.stats import norm
 
 from vacqrng.config import PipelineConfig
-from vacqrng.controller import ControllerState, decide, run_closed_loop
+from vacqrng.controller import decide, run_closed_loop
 from vacqrng.entropy import extractor_budget, min_entropy
 from vacqrng.optics import (DeviceParams, balance_phase,
                             homodyne_difference, is_unreachable, pd1_current)
-from vacqrng.pipeline import extract_measured, select_centered, simulate_run
+from vacqrng.pipeline import extract_measured, measured_samples, simulate_run
 from vacqrng.stattests import (approximate_entropy_test, block_frequency_test,
                                cumulative_sums_test, monobit_test,
                                pass_proportion_interval, run_suite, runs_test)
@@ -59,8 +59,7 @@ def default_run():
 def extracted_hundred_meg(default_run):
     """At least 1e8 extracted bits from the shared run."""
     config, run = default_run
-    centered = select_centered(run, exclude_saturated=True,
-                               discard_unlocked=False)
+    centered = measured_samples(config, run)
     _, packed, _ = extract_measured(config, centered)
     out = np.unpackbits(packed, bitorder="little")
     assert out.size >= 100_000_000
@@ -184,14 +183,14 @@ def test_criterion_5_controller_oracle_equivalence():
     mismatches = 0
     for dac in lattice:
         for s in sums:
-            got = decide(s, cfg, ControllerState(dac_data=dac)).dac_data
+            got, _ = decide(s, cfg, dac)
             if got != oracle_decide(s, cfg, dac) or not 0 <= got < 2 ** n:
                 mismatches += 1
     rng = np.random.default_rng(2718)
     dacs = rng.integers(0, 2 ** n, size=100_000)
     sums_rand = rng.integers(0, 4095 * 1000, size=100_000)
     for dac, s in zip(dacs, sums_rand):
-        got = decide(int(s), cfg, ControllerState(dac_data=int(dac))).dac_data
+        got, _ = decide(int(s), cfg, int(dac))
         if got != oracle_decide(int(s), cfg, int(dac)):
             mismatches += 1
     elapsed = time.perf_counter() - start
@@ -209,8 +208,7 @@ def test_criterion_6_centering(default_run):
     n = config.block_size_n
     worst_residual = int(np.abs(run.centered.sum(axis=1, dtype=np.int64))
                          .max())
-    stream = select_centered(run, exclude_saturated=True,
-                             discard_unlocked=False)
+    stream = measured_samples(config, run)
     assert stream.size >= 10_000_000
     grand_mean_lsb = float(np.mean(stream[:10_000_000])) / 2.0
     ok = worst_residual <= n // 2 and abs(grand_mean_lsb) <= 0.05

@@ -15,6 +15,7 @@ import vacqrng
 from vacqrng import pipeline
 from vacqrng.cli import main
 from vacqrng.config import PipelineConfig, load_config, parse_config_text
+from vacqrng.controller import LoopRun
 from vacqrng.errors import (ConfigError, NoExtractableEntropyError,
                             ParameterError)
 from vacqrng.pipeline import (LoopSummary, run_pipeline, select_centered,
@@ -109,6 +110,20 @@ class TestConfigValidation:
     def test_samples_must_cover_block(self):
         with pytest.raises(ConfigError):
             parse_config_text("samples = 10\n")
+
+    @pytest.mark.parametrize("line", [
+        "p_ref = 0", "sigma_e = -0.001", "drift_rate_std = -1",
+        "sample_rate = 0", "sample_rate = -80e6"])
+    def test_chain_values_rejected_at_load(self, tmp_path, capsys, line):
+        # rejected before a run writes anything, not mid-run
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(ConfigError):
+            load_config(cfg)
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSeedsAndHash:
@@ -218,14 +233,23 @@ class TestPipeline:
     def test_select_centered_filters(self):
         config = PipelineConfig(**QUICK)
         run = simulate_run(config)
-        full = select_centered(run, exclude_saturated=False,
-                               discard_unlocked=False, skip_startup=False)
+        # from the balance code the first block locks and none saturates,
+        # so only the lock filter can drop blocks
+        assert run.first_locked() == 0 and not run.saturated.any()
+        full = select_centered(run, discard_unlocked=False)
         assert full.size == config.samples
-        locked_only = select_centered(run, exclude_saturated=False,
-                                      discard_unlocked=True,
-                                      skip_startup=False)
+        locked_only = select_centered(run, discard_unlocked=True)
         n_locked = int(run.locked.sum())
         assert locked_only.size == n_locked * config.block_size_n
+        # blocks before the first lock and saturated blocks never pass
+        locked = np.array([0, 0, 1, 0, 1, 0], dtype=bool)
+        saturated = np.array([1, 0, 0, 1, 0, 0], dtype=bool)
+        rows = np.arange(6, dtype=np.int16)[:, None].repeat(2, axis=1)
+        synthetic = LoopRun(codes=rows, centered=rows, sums=rows[:, 0],
+                            dac_before=rows[:, 0], dac_after=rows[:, 0],
+                            locked=locked, saturated=saturated)
+        assert select_centered(synthetic, False).tolist() == [2, 2, 4, 4, 5, 5]
+        assert select_centered(synthetic, True).tolist() == [2, 2, 4, 4]
 
 
 class TestCli:

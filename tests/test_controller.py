@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from vacqrng.config import PipelineConfig
-from vacqrng.controller import (CHUNK_BLOCKS, ControllerConfig,
-                                ControllerState, center_codes, decide,
-                                initial_state, run_closed_loop)
+from vacqrng.controller import (CHUNK_BLOCKS, ControllerConfig, center_codes,
+                                decide, run_closed_loop)
 from vacqrng.errors import ParameterError
 from vacqrng.optics import DeviceParams, balance_phase
 from vacqrng.signal_chain import SignalChainState
@@ -39,44 +38,34 @@ def oracle_decide(sum_value: int, cfg: ControllerConfig, dac: int) -> int:
 
 class TestDecide:
     def test_sum_inside_interval_locks(self):
-        st = decide(2048000, CFG, initial_state(CFG))
-        assert st.dac_data == 8092
-        assert st.locked
-        assert st.last_sum == 2048000
+        assert decide(2048000, CFG, CFG.dac_init) == (8092, True)
 
     def test_sum_below_interval_steps_down(self):
-        st = decide(2000000, CFG, initial_state(CFG))
-        assert st.dac_data == 8087
-        assert not st.locked
+        assert decide(2000000, CFG, CFG.dac_init) == (8087, False)
 
     def test_sum_above_interval_steps_up(self):
-        st = decide(2060000, CFG, initial_state(CFG))
-        assert st.dac_data == 8097
+        assert decide(2060000, CFG, CFG.dac_init) == (8097, False)
 
     def test_wraparound_below_step(self):
-        st = decide(2000000, CFG, ControllerState(dac_data=3))
-        assert st.dac_data == 2 ** 14 - 5  # 16379
+        assert decide(2000000, CFG, 3)[0] == 2 ** 14 - 5  # 16379
 
     def test_wraparound_above_complement(self):
-        st = decide(2060000, CFG, ControllerState(dac_data=16382))
-        assert st.dac_data == 5
+        assert decide(2060000, CFG, 16382)[0] == 5
 
     def test_boundary_codes_take_plain_step(self):
         # codes exactly c and 2^n - c are not special-cased; the register
         # wraps modulo 2^n where the plain step would overflow
-        assert decide(2000000, CFG, ControllerState(dac_data=5)).dac_data == 0
-        assert decide(2060000, CFG,
-                      ControllerState(dac_data=16379)).dac_data == 0
+        assert decide(2000000, CFG, 5)[0] == 0
+        assert decide(2060000, CFG, 16379)[0] == 0
 
     def test_pure_function(self):
-        st = ControllerState(dac_data=123, blocks_processed=7)
-        outs = {decide(1999999, CFG, st).dac_data for _ in range(5)}
-        assert outs == {118}
+        outs = {decide(1999999, CFG, 123) for _ in range(5)}
+        assert outs == {(118, False)}
 
     def test_invert_loop_flips_directions(self):
         cfg = replace(CFG, invert_loop=True)
-        assert decide(2000000, cfg, initial_state(cfg)).dac_data == 8097
-        assert decide(2060000, cfg, initial_state(cfg)).dac_data == 8087
+        assert decide(2000000, cfg, cfg.dac_init)[0] == 8097
+        assert decide(2060000, cfg, cfg.dac_init)[0] == 8087
 
     def test_boundary_lattice_in_range_and_matches_oracle(self):
         c, n = CFG.step_c, CFG.dac_bits_n
@@ -86,7 +75,7 @@ class TestDecide:
                 CFG.interval_b, CFG.interval_b + 1]
         for dac in lattice:
             for s in sums:
-                new = decide(s, CFG, ControllerState(dac_data=dac)).dac_data
+                new = decide(s, CFG, dac)[0]
                 assert 0 <= new < 2 ** n
                 assert new == oracle_decide(s, CFG, dac)
 
@@ -95,21 +84,21 @@ class TestDecide:
         dacs = rng.integers(0, 2 ** 14, size=100_000)
         sums = rng.integers(0, 4095 * 1000, size=100_000)
         for dac, s in zip(dacs, sums):
-            got = decide(int(s), CFG, ControllerState(dac_data=int(dac)))
-            assert got.dac_data == oracle_decide(int(s), CFG, int(dac))
+            got, _ = decide(int(s), CFG, int(dac))
+            assert got == oracle_decide(int(s), CFG, int(dac))
 
 
 class TestProcessBlock:
     def test_mid_code_block_locks_with_zero_centered(self):
         codes = np.full(1000, 2048, dtype=np.int64)
-        block, st = process_block(codes, CFG, initial_state(CFG))
+        block, _, locked = process_block(codes, CFG, CFG.dac_init)
         assert block.sum == 2048000
-        assert st.locked
+        assert locked
         assert np.all(block.centered == 0)
 
     def test_alternating_codes_center_symmetrically(self):
         codes = np.tile([2047, 2049], 500).astype(np.int64)
-        block, _ = process_block(codes, CFG, initial_state(CFG))
+        block, _, _ = process_block(codes, CFG, CFG.dac_init)
         assert block.sum == 2048000
         # half-LSB units: one LSB away from the mean is two units
         assert np.array_equal(block.centered, np.tile([-2, 2], 500))
@@ -119,20 +108,19 @@ class TestProcessBlock:
         rng = np.random.default_rng(123)
         codes = np.rint(rng.normal(2053, 10, size=1000)).astype(np.int64)
         assert codes.sum() > CFG.interval_b  # mean 2053 over 1000 samples
-        block, st = process_block(codes, CFG, initial_state(CFG))
-        assert st.dac_data == 8097
-        assert st.dac_data == oracle_decide(block.sum, CFG, 8092)
+        block, dac, _ = process_block(codes, CFG, CFG.dac_init)
+        assert dac == 8097
+        assert dac == oracle_decide(block.sum, CFG, 8092)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ParameterError):
-            process_block(np.zeros(999, dtype=np.int64), CFG,
-                          initial_state(CFG))
+            process_block(np.zeros(999, dtype=np.int64), CFG, CFG.dac_init)
 
     def test_centered_sum_bound(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
             codes = rng.integers(0, 4096, size=1000)
-            block, _ = process_block(codes, CFG, initial_state(CFG))
+            block, _, _ = process_block(codes, CFG, CFG.dac_init)
             assert abs(int(block.centered.sum())) <= 500
             # consistency of the half-LSB representation
             doubled_mean = int(np.rint(2 * block.sum / 1000))
@@ -141,7 +129,7 @@ class TestProcessBlock:
 
     def test_exact_half_mean_is_exact(self):
         codes = np.concatenate([np.full(500, 2048), np.full(500, 2049)])
-        block, _ = process_block(codes, CFG, initial_state(CFG))
+        block, _, _ = process_block(codes, CFG, CFG.dac_init)
         # mean 2048.5 is representable in half-LSB: residual sum is 0
         assert block.centered.sum() == 0
         assert set(np.unique(block.centered)) == {-1, 1}
@@ -189,7 +177,7 @@ class TestClosedLoop:
         params = DeviceParams()
         run = run_closed_loop(params, chain, CFG, 800)
         assert run.locked[-1]
-        settled = ControllerState(dac_data=int(run.dac_after[-1]))
+        settled = int(run.dac_after[-1])
         chain.delta_phi_ambient += 0.3
         run2 = run_closed_loop(params, chain, CFG, 400, initial=settled)
         phase_per_step = 2 * math.pi * CFG.step_c / 2 ** CFG.dac_bits_n
@@ -295,7 +283,7 @@ class TestArrayLoopMatchesPerBlockOracle:
         config = PipelineConfig()
         first, ref_first, chains = _loop_pair(config, 90)
         _assert_same_run(first, ref_first, chains)
-        initial = ControllerState(dac_data=int(first.dac_after[-1]))
+        initial = int(first.dac_after[-1])
         cfg = config.controller_config()
         run = run_closed_loop(config.device_params(), chains[0], cfg, 100,
                               adc=config.adc_spec(), dac=config.dac_spec(),

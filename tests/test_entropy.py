@@ -9,7 +9,7 @@ from vacqrng.config import PipelineConfig
 from vacqrng.entropy import (build_report, extractor_budget, min_entropy,
                              min_entropy_discretized, sample_variance)
 from vacqrng.errors import NoExtractableEntropyError, ParameterError
-from vacqrng.pipeline import select_centered, simulate_run
+from vacqrng.pipeline import measured_samples, noise_samples, simulate_run
 
 
 class TestSampleVariance:
@@ -107,13 +107,10 @@ class TestExtractorBudget:
 class TestEndToEnd:
     def test_simulated_runs_reproduce_reference_entropy(self):
         cfg = PipelineConfig(samples=2_000_000, noise_samples=1_000_000)
-        measured = select_centered(simulate_run(cfg),
-                                   exclude_saturated=True,
-                                   discard_unlocked=False)
-        noise = select_centered(simulate_run(cfg, lo_off=True),
-                                exclude_saturated=True,
-                                discard_unlocked=False)
-        report = build_report(measured, noise, adc_bits=12)
+        # the samples `all` estimates from: LO-on blocks from the first
+        # lock on, and the whole frozen LO-off run
+        measured = measured_samples(cfg, simulate_run(cfg))
+        report = build_report(measured, noise_samples(cfg), adc_bits=12)
         assert report.h_min_per_sample == pytest.approx(10.08, abs=0.05)
         assert report.sigma_m_sq == pytest.approx(1.86e5, rel=0.02)
         assert report.sigma_e_sq == pytest.approx(166.09, rel=0.05)
@@ -127,10 +124,7 @@ class TestEndToEnd:
         # start at the balance code so a short run has usable blocks
         cfg = PipelineConfig(samples=100_000, noise_samples=100_000,
                              dac_init=5182)
-        report = build_report(
-            select_centered(simulate_run(cfg), True, False,
-                            skip_startup=False),
-            select_centered(simulate_run(cfg, lo_off=True), True, False,
-                            skip_startup=False))
+        report = build_report(measured_samples(cfg, simulate_run(cfg)),
+                              noise_samples(cfg))
         payload = json.loads(report.to_json())
         assert payload["sample_count"] == report.sample_count
