@@ -24,7 +24,6 @@ from .stattests import (SuiteVerdict, TestOutcome, approximate_entropy_test,
 from .toeplitz import (ExtractorParams, ToeplitzSeed, extract_block,
                        extract_block_dense, extract_blocks, extract_stream,
                        generate_test_seed, load_seed, pack_bits, save_seed,
-                       samples_to_bits, toeplitz_matrix, toeplitz_row,
-                       unpack_bits)
+                       toeplitz_matrix, toeplitz_row, unpack_bits)
 
 __version__ = "0.1.0"

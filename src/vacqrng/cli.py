@@ -21,16 +21,14 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import PipelineConfig, load_config
 from .entropy import min_entropy_discretized
 from .errors import (ConfigError, DataError, NoExtractableEntropyError,
                      ParameterError)
 from .pipeline import (LoopSummary, estimate_entropy, extract_measured,
                        measured_samples, noise_samples, paper_repro_table,
-                       run_pipeline, simulate_run, suite_on_packed,
-                       write_streams)
+                       read_packed, run_pipeline, simulate_run,
+                       suite_on_packed, write_streams)
 from .toeplitz import save_seed
 
 
@@ -60,7 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add("extract", "simulate and extract; write packed output bits")
     t = add("test", "run the statistical suite on extracted output")
     t.add_argument("--bits", type=Path, default=None,
-                   help="test an existing packed bitstream instead")
+                   help="test an existing packed bitstream instead (its "
+                        "bit count from a manifest.json beside it, else "
+                        "every bit of its bytes)")
     add("all", "run every stage and write all artifacts")
     add("paper-repro", "reproduce the reference experiment's headline "
                        "figures and print a comparison table")
@@ -130,12 +130,7 @@ def _cmd_extract(args) -> int:
 def _cmd_test(args) -> int:
     config = _load(args)
     if args.bits is not None:
-        try:
-            packed = np.frombuffer(Path(args.bits).read_bytes(),
-                                   dtype=np.uint8)
-        except OSError as exc:
-            raise DataError(f"cannot read bitstream {args.bits}: {exc}")
-        n_bits = packed.size * 8
+        packed, n_bits = read_packed(args.bits)
     else:
         _, packed, n_bits = extract_measured(
             config, measured_samples(config, simulate_run(config)))

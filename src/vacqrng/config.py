@@ -166,6 +166,8 @@ class PipelineConfig:
                           "block sum", stacklevel=2)
         if self.samples < self.block_size_n:
             raise ConfigError("samples must cover at least one block")
+        if self.noise_samples < self.block_size_n:
+            raise ConfigError("noise_samples must cover at least one block")
         if not 0 < self.beta < 1:
             raise ConfigError("beta must be in (0, 1)")
         if self.sequence_length < 100 or self.n_sequences < 1:

@@ -313,10 +313,10 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
             status = "complete (too few bits for the statistical suite)"
     except (NoExtractableEntropyError, DataError) as exc:
         status = f"degenerate: {exc}"
-        _write_manifest(out, config, artifacts, status)
+        _write_manifest(out, config, artifacts, status, extracted_bits)
         raise
 
-    _write_manifest(out, config, artifacts, status)
+    _write_manifest(out, config, artifacts, status, extracted_bits)
     result = RunResult(config=config, out_dir=out, loop=loop,
                        entropy=entropy, budget_bits=budget, verdict=verdict,
                        extracted_bits=extracted_bits,
@@ -327,14 +327,55 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
 
 
 def _write_manifest(out: Path, config: PipelineConfig,
-                    artifacts: dict[str, Path], status: str) -> None:
+                    artifacts: dict[str, Path], status: str,
+                    extracted_bits: int) -> None:
+    """Path, size and sha256 of every artifact; the packed output's entry
+    also carries its bit count, which its zero-padded bytes cannot."""
     entries = {}
     for name, path in artifacts.items():
         data = path.read_bytes()
         entries[name] = {"path": path.name, "bytes": len(data),
                          "sha256": hashlib.sha256(data).hexdigest()}
+    if "extracted" in entries:
+        entries["extracted"]["bits"] = extracted_bits
     payload = {"status": status, "artifacts": entries}
     _write_json(out / "manifest.json", payload, config)
+
+
+def read_packed(path: Path) -> tuple[np.ndarray, int]:
+    """A packed bitstream and its length in bits: the count that a
+    manifest.json beside the file records for it, else all its bytes.
+
+    A manifest entry is used only for the file it describes (same sha256)
+    and only if its count fills the bytes with zero padding; otherwise
+    DataError.
+    """
+    path = Path(path)
+    try:
+        packed = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+    except OSError as exc:
+        raise DataError(f"cannot read bitstream {path}: {exc}") from exc
+    manifest = path.parent / "manifest.json"
+    if not manifest.is_file():
+        return packed, packed.size * 8
+    try:
+        entries = json.loads(manifest.read_text())["artifacts"].values()
+    except (OSError, ValueError, KeyError, AttributeError) as exc:
+        raise DataError(f"cannot read {manifest}: {exc}") from exc
+    for entry in entries:
+        if entry.get("path") != path.name or "bits" not in entry:
+            continue
+        if entry.get("sha256") != hashlib.sha256(packed).hexdigest():
+            raise DataError(f"{manifest} does not describe {path.name}: "
+                            "its sha256 differs")
+        bits = entry["bits"]
+        if (type(bits) is not int or bits < 0
+                or (bits + 7) // 8 != packed.size
+                or bits % 8 and packed[-1] >> bits % 8):
+            raise DataError(f"{manifest} lists {bits!r} bits for "
+                            f"{path.name}, which holds {packed.size} bytes")
+        return packed, bits
+    return packed, packed.size * 8
 
 
 def paper_repro_table(result: RunResult) -> str:

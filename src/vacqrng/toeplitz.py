@@ -20,10 +20,15 @@ path is exact by construction and bit-identical to the oracle.
 
 `extract_stream` hashes a sample stream with one path for every geometry
 (any n and m, 1..16 bits per sample, blocks that start inside a sample or
-a byte): per chunk of _CHUNK_BLOCKS blocks it unpacks the low bits of the
-samples the chunk covers, packs each block to bytes, hashes, and repacks
-the m-bit outputs across rows into its slice of the packed output, which
-is what it returns.  Chunks are taken from one shared iterator by the
+a byte), in the byte domain throughout: per chunk of _CHUNK_BLOCKS blocks
+it packs the low bits of the samples the chunk covers straight into bytes
+(ORing whole uint64 words), takes each block's bytes from that buffer
+with one shifted read of byte pairs, hashes, and writes the output into
+its slice of the packed result: the first m/8 bytes of each accumulator
+row when m % 8 == 0, else the m-bit rows unpacked and repacked end to
+end.  No array holds one byte per bit of the input samples; only the
+m % 8 != 0 output (and `extract_blocks`, which takes bit rows) unpacks
+to one byte per bit.  Chunks are taken from one shared iterator by the
 caller's thread and one helper thread, started only when the stream spans
 more than one chunk; a one-chunk call starts no thread.  The helper calls
 only private functions, never the public wrappers.
@@ -38,6 +43,7 @@ Bit conventions, fixed for all stream and file formats:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,24 +156,25 @@ def extract_blocks(blocks: np.ndarray, seed: ToeplitzSeed,
     blocks = np.asarray(blocks)
     if blocks.ndim != 2 or blocks.shape[1] != params.n:
         raise ParameterError(f"blocks must have shape (k, {params.n})")
-    return _hash(blocks, _byte_table(seed, params), params.m)
+    words = _hash(np.packbits(blocks, axis=1, bitorder="little"),
+                  _byte_table(seed, params))
+    return np.unpackbits(words.view(np.uint8), axis=1, count=params.m,
+                         bitorder="little")
 
 
-def _hash(blocks: np.ndarray, table: np.ndarray, m: int) -> np.ndarray:
-    """(k, n) bits in, (k, m) bits out, through the byte table.
+def _hash(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(k, ceil(n/8)) block bytes in, (k, ceil(m/64)) uint64 words out.
 
-    Each block is packed to ceil(n/8) bytes; byte p selects row x[p] of
-    table[p], and the XOR of the selected rows over all byte positions,
-    kept in uint64 words, is the packed output.
+    Byte p of a block selects row table[p, x[p]]; the XOR of the selected
+    rows over all byte positions is the block's output, m bits packed
+    LSB-first into little-endian words.
     """
     # Position-major bytes, so each gather reads one contiguous index row.
-    x = np.ascontiguousarray(
-        np.packbits(blocks, axis=1, bitorder="little").T)
+    x = np.ascontiguousarray(blocks.T)
     acc = np.zeros((blocks.shape[0], table.shape[2]), dtype=_WORD)
     for p in range(x.shape[0]):
         acc ^= table[p].take(x[p], axis=0)
-    return np.unpackbits(acc.view(np.uint8), axis=1, count=m,
-                         bitorder="little")
+    return acc
 
 
 def _byte_table(seed: ToeplitzSeed, params: ExtractorParams) -> np.ndarray:
@@ -200,29 +207,52 @@ def _check_block(block_bits, params: ExtractorParams) -> np.ndarray:
     return x
 
 
-def _check_bits_per_sample(bits_per_sample: int) -> None:
-    if not 1 <= bits_per_sample <= 16:
-        raise ParameterError("bits_per_sample must be in [1, 16]")
+def _pack_samples(samples: np.ndarray, bits_per_sample: int) -> np.ndarray:
+    """The low `bits_per_sample` bits of each sample, end to end, packed
+    LSB-first into bytes, plus at least 8 zero bytes of tail.
+
+    Samples are ORed into little-endian uint64 words a group at a time:
+    a group is the lcm(b, 64) / b samples that fill whole words, so
+    sample j of every group lands at the same word and shift.
+    """
+    b = bits_per_sample
+    group, words = math.lcm(b, 64) // b, math.lcm(b, 64) // 64
+    packed = np.zeros((-(-samples.size // group) + 1, words), dtype=_WORD)
+    mask = np.uint64((1 << b) - 1)
+    for j in range(group):
+        # astype keeps the low 64 bits of the two's complement.
+        low = samples[j::group].astype(_WORD) & mask
+        word, shift = divmod(j * b, 64)
+        packed[:low.size, word] |= low << np.uint64(shift)
+        if shift + b > 64:
+            packed[:low.size, word + 1] |= low >> np.uint64(64 - shift)
+    return packed.view(np.uint8).reshape(-1)
 
 
-def _as_samples(samples) -> np.ndarray:
-    samples = np.asarray(samples).reshape(-1)
-    if samples.dtype.kind not in "iu":
-        raise ParameterError("samples must be integers")
-    return samples
+def _block_bytes(packed: np.ndarray, skip: int, n: int,
+                 k: int) -> np.ndarray:
+    """The k consecutive n-bit blocks starting at bit `skip` of `packed`,
+    as k rows of ceil(n/8) bytes.
 
-
-def samples_to_bits(samples, bits_per_sample: int = 12) -> np.ndarray:
-    """Low bits of each two's-complement sample, LSB first, temporal order."""
-    _check_bits_per_sample(bits_per_sample)
-    return _low_bits(_as_samples(samples), bits_per_sample)
-
-
-def _low_bits(samples: np.ndarray, bits_per_sample: int) -> np.ndarray:
-    # The low 16 bits of the two's complement, as two little-endian bytes.
-    low = samples.astype("<u2").view(np.uint8).reshape(-1, 2)
-    bits = np.unpackbits(low, axis=1, bitorder="little")
-    return bits[:, :bits_per_sample].reshape(-1)
+    A block's last byte may carry the next block's first bits; the byte
+    table maps bits past n to zero columns, so they are left in place.
+    """
+    # Blocks `period` apart start at the same bit of a byte, `stride`
+    # bytes apart, so each residue class is one strided view of byte
+    # pairs (one class when n % 8 == 0).
+    width = -(-n // 8)
+    period = 8 // math.gcd(n, 8)
+    stride = n * period // 8
+    pairs = sliding_window_view(packed, width + 1)
+    rows = np.empty((k, width), dtype=np.uint8)
+    for c in range(min(period, k)):
+        first, shift = divmod(skip + c * n, 8)
+        view = pairs[first::stride][:len(range(c, k, period))]
+        if shift:
+            rows[c::period] = view[:, :-1] >> shift | view[:, 1:] << (8 - shift)
+        else:
+            rows[c::period] = view[:, :-1]
+    return rows
 
 
 def extract_stream(centered_samples, seed: ToeplitzSeed,
@@ -230,18 +260,22 @@ def extract_stream(centered_samples, seed: ToeplitzSeed,
                    bits_per_sample: int = 12) -> np.ndarray:
     """Hash a centered-sample stream into packed extracted bytes.
 
-    Samples are unpacked to bits, grouped into n-bit blocks (trailing
-    partial block dropped, never padded), and each block is extracted with
-    the same seed.  Returns the concatenated m-bit outputs packed as a
-    uint8 array in the `pack_bits` format (first bit in the LSB of the
-    first byte, zero padding), `params.output_bits(...)` bits in all.
-    Blocks are hashed _CHUNK_BLOCKS at a time, unpacking only the samples
+    The low `bits_per_sample` bits of each sample, in temporal order, are
+    cut into n-bit blocks (trailing partial block dropped, never padded),
+    and each block is extracted with the same seed.  Returns the
+    concatenated m-bit outputs packed as a uint8 array in the `pack_bits`
+    format (first bit in the LSB of the first byte, zero padding),
+    `params.output_bits(...)` bits in all.
+    Blocks are hashed _CHUNK_BLOCKS at a time, packing only the samples
     each chunk covers, so working memory beyond the output does not grow
     with the stream; a stream of more than one chunk is hashed by the
     caller's thread and _HELPERS helper threads.
     """
-    _check_bits_per_sample(bits_per_sample)
-    samples = _as_samples(centered_samples)
+    if not 1 <= bits_per_sample <= 16:
+        raise ParameterError("bits_per_sample must be in [1, 16]")
+    samples = np.asarray(centered_samples).reshape(-1)
+    if samples.dtype.kind not in "iu":
+        raise ParameterError("samples must be integers")
     n, m = params.n, params.m
     n_blocks = samples.size * bits_per_sample // n
     out = np.empty(-(-n_blocks * m // 8), dtype=np.uint8)
@@ -250,19 +284,27 @@ def extract_stream(centered_samples, seed: ToeplitzSeed,
     def hash_chunks(starts) -> None:
         try:
             for start in starts:
-                stop = min(start + _CHUNK_BLOCKS, n_blocks)
-                # Chunk edges need not fall on sample edges: unpack the
-                # samples covering bits [start*n, stop*n) and skip the
-                # leading partial one.
+                k = min(_CHUNK_BLOCKS, n_blocks - start)
+                # Chunk edges need not fall on sample edges: pack the
+                # samples covering bits [start*n, (start+k)*n) and skip
+                # the leading partial one.
                 first, skip = divmod(start * n, bits_per_sample)
-                last = -(-stop * n // bits_per_sample)
-                bits = _low_bits(samples[first:last], bits_per_sample)
-                blocks = bits[skip:skip + (stop - start) * n].reshape(-1, n)
-                packed = np.packbits(_hash(blocks, table, m).reshape(-1),
-                                     bitorder="little")
+                last = -(-(start + k) * n // bits_per_sample)
+                words = _hash(_block_bytes(
+                    _pack_samples(samples[first:last], bits_per_sample),
+                    skip, n, k), table)
                 # Every chunk but the last holds a multiple of 8 blocks,
                 # so each starts on a byte.
-                out[start * m // 8:start * m // 8 + packed.size] = packed
+                at = start * m // 8
+                if m % 8 == 0:
+                    # Each row's first m/8 bytes are its output bytes.
+                    out[at:at + k * m // 8].reshape(k, m // 8)[...] = \
+                        words.view(np.uint8)[:, :m // 8]
+                else:
+                    rows = np.packbits(np.unpackbits(
+                        words.view(np.uint8), axis=1, count=m,
+                        bitorder="little"), bitorder="little")
+                    out[at:at + rows.size] = rows
         finally:
             # After an error (or Ctrl-C on the caller), leave the other
             # thread no chunk, so that the call ends without hashing the

@@ -16,12 +16,12 @@ from vacqrng import pipeline
 from vacqrng.cli import main
 from vacqrng.config import PipelineConfig, load_config, parse_config_text
 from vacqrng.controller import LoopRun
-from vacqrng.errors import (ConfigError, NoExtractableEntropyError,
-                            ParameterError)
+from vacqrng.errors import (ConfigError, DataError,
+                            NoExtractableEntropyError, ParameterError)
 from vacqrng.pipeline import (LoopSummary, run_pipeline, select_centered,
                               simulate_run, suite_on_packed)
 from vacqrng.stattests import run_suite
-from vacqrng.toeplitz import pack_bits
+from vacqrng.toeplitz import pack_bits, unpack_bits
 
 QUICK = dict(samples=200_000, noise_samples=100_000, dac_init=5182,
              sequence_length=100_000, n_sequences=2)
@@ -122,6 +122,19 @@ class TestConfigValidation:
             load_config(cfg)
         out = tmp_path / "out"
         assert main(["all", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [0, -7, 999])
+    def test_noise_samples_must_cover_block(self, tmp_path, capsys, value):
+        # rejected at load, not run as one silent 1000-sample LO-off block
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"noise_samples = {value}\n")
+        with pytest.raises(ConfigError, match="noise_samples"):
+            load_config(cfg)
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", str(cfg),
+                     "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
@@ -297,6 +310,76 @@ class TestCli:
         verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
         assert verdict["n_sequences"] == 5
         assert "acceptance band" in capsys.readouterr().out
+
+    def test_bits_file_counted_from_manifest(self, tmp_path, capsys):
+        # m = 100 at n = 203 ends the packed output inside a byte; the
+        # manifest's bit count keeps that padding out of the suite
+        cfg = tmp_path / "odd.cfg"
+        cfg.write_text(PipelineConfig(**{**QUICK, "samples": 201_000},
+                                      extractor_m=100, extractor_n=203,
+                                      epsilon_log2=24).to_text())
+        run = tmp_path / "run"
+        assert main(["all", "--config", str(cfg), "--out", str(run)]) == 0
+        entry = json.loads((run / "manifest.json").read_text()
+                           )["artifacts"]["extracted"]
+        n_bits, n_bytes = entry["bits"], entry["bytes"]
+        assert n_bits % 8 and n_bytes == (n_bits + 7) // 8
+        unpack_bits((run / "extracted.bin").read_bytes(), n_bits)
+
+        # one sequence of data; a second only if the padding is counted
+        suite = tmp_path / "suite.cfg"
+        suite.write_text(f"sequence_length = {4 * n_bytes}\n"
+                         "n_sequences = 5\n")
+
+        def sequences(path, out):
+            assert main(["test", "--config", str(suite), "--bits", str(path),
+                         "--out", str(tmp_path / out)]) == 0
+            return json.loads((tmp_path / out / "verdict.json").read_text()
+                              )["n_sequences"]
+
+        assert n_bits // (4 * n_bytes) == 1
+        assert sequences(run / "extracted.bin", "in_run") == 1
+        # without a manifest beside it, every bit of the bytes is data
+        loose = tmp_path / "loose" / "extracted.bin"
+        loose.parent.mkdir()
+        loose.write_bytes((run / "extracted.bin").read_bytes())
+        assert sequences(loose, "loose_out") == 2
+        # a file the manifest does not describe is refused
+        (run / "extracted.bin").write_bytes(loose.read_bytes()[:-1])
+        assert main(["test", "--config", str(suite), "--bits",
+                     str(run / "extracted.bin"),
+                     "--out", str(tmp_path / "bad")]) == 3
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bits", [25, 16, 17, -1, "20", 20.0, True, None])
+    def test_bits_file_manifest_count_checked(self, tmp_path, capsys, bits):
+        # 3 bytes, the last padded above bit 4: only 20 bits fill them
+        data = pack_bits(np.r_[np.ones(16), np.zeros(3), 1])
+        path = tmp_path / "extracted.bin"
+        path.write_bytes(data)
+        entry = {"path": path.name, "bytes": len(data),
+                 "sha256": hashlib.sha256(data).hexdigest()}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"artifacts": {"extracted": {
+            **entry, "bits": 20}}}))
+        packed, n_bits = pipeline.read_packed(path)
+        assert n_bits == 20 and packed.tobytes() == data
+
+        # a count past the bytes, short of them, over set padding bits,
+        # or not an int is refused
+        manifest.write_text(json.dumps({"artifacts": {"extracted": {
+            **entry, "bits": bits}}}))
+        with pytest.raises(DataError, match="bits for extracted.bin"):
+            pipeline.read_packed(path)
+        assert main(["test", "--bits", str(path),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "data error" in capsys.readouterr().err
+
+        # an entry whose sha256 is not the file's is a stale manifest
+        manifest.write_text(json.dumps({"artifacts": {"extracted": {
+            **entry, "sha256": "0" * 64, "bits": 20}}}))
+        with pytest.raises(DataError, match="sha256"):
+            pipeline.read_packed(path)
 
     def test_estimate_budget_matches_all(self, tmp_path, capsys):
         cfg = tmp_path / "quick.cfg"

@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from vacqrng.toeplitz import (_CHUNK_BLOCKS, ExtractorParams, ToeplitzSeed,
                               extract_block,
                               extract_block_dense, extract_blocks,
                               extract_stream, generate_test_seed, load_seed,
-                              pack_bits, samples_to_bits, save_seed,
+                              pack_bits, save_seed,
                               toeplitz_matrix, toeplitz_row, unpack_bits)
+from tests.bit_reference import dense_stream, samples_to_bits
 
 
 def bits(s: str) -> np.ndarray:
@@ -138,15 +140,6 @@ def stream_bits(samples, seed, params, bits_per_sample=12) -> np.ndarray:
         bitorder="little")
 
 
-def dense_stream(samples, seed, params, bits_per_sample=12) -> bytes:
-    """Packed concatenation of the dense oracle's outputs, block by block."""
-    raw = samples_to_bits(samples, bits_per_sample)
-    n_blocks = raw.size // params.n
-    blocks = raw[:n_blocks * params.n].reshape(n_blocks, params.n)
-    return pack_bits(np.concatenate(
-        [extract_block_dense(blk, seed, params) for blk in blocks]))
-
-
 class TestStream:
     def test_whole_blocks(self):
         params = ExtractorParams()
@@ -246,6 +239,16 @@ class TestPackedStream:
         assert (extract_stream(samples, seed, params, bits_per_sample)
                 .tobytes() == dense_stream(samples, seed, params,
                                            bits_per_sample))
+
+    def test_shifted_read_of_the_last_byte(self):
+        # 12 samples of 16 bits are 16 blocks of n = 12 that end on the
+        # last sample's last bit; the last block starts mid-byte, so its
+        # shifted read takes one byte past the samples' bytes
+        params = ExtractorParams(m=5, n=12)
+        seed = generate_test_seed(params, 43)
+        samples = np.arange(12, dtype=np.int16) * 977
+        assert (extract_stream(samples, seed, params, 16).tobytes()
+                == dense_stream(samples, seed, params, 16))
 
     def test_empty_stream(self):
         params = ExtractorParams(m=8, n=24)
