@@ -26,8 +26,8 @@ from .entropy import min_entropy_discretized
 from .errors import (ConfigError, DataError, NoExtractableEntropyError,
                      ParameterError)
 from .pipeline import (LoopSummary, estimate_entropy, extract_measured,
-                       measured_samples, noise_samples, paper_repro_table,
-                       read_packed, run_pipeline, simulate_run,
+                       noise_samples, paper_repro_table, read_packed,
+                       run_pipeline, select_centered, simulate_run,
                        suite_on_packed, write_streams)
 from .toeplitz import save_seed
 
@@ -96,7 +96,7 @@ def _cmd_estimate(args) -> int:
     config = _load(args)
     # LO off first: keeps repeated in-process calls' peak RSS from creeping.
     noise = noise_samples(config)
-    measured = measured_samples(config, simulate_run(config))
+    measured = select_centered(config, simulate_run(config))
     report, budget = estimate_entropy(config, measured, noise)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -116,7 +116,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_extract(args) -> int:
     config = _load(args)
-    samples = measured_samples(config, simulate_run(config))
+    samples = select_centered(config, simulate_run(config))
     seed, packed, n_bits = extract_measured(config, samples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -133,7 +133,7 @@ def _cmd_test(args) -> int:
         packed, n_bits = read_packed(args.bits)
     else:
         _, packed, n_bits = extract_measured(
-            config, measured_samples(config, simulate_run(config)))
+            config, select_centered(config, simulate_run(config)))
     verdict = suite_on_packed(packed, n_bits, config)
     if verdict is None:
         raise DataError(

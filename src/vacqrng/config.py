@@ -87,38 +87,34 @@ class PipelineConfig:
     write_raw: bool = False
     discretized_entropy: bool = False
 
+    def _view(self, cls, prefix: str = "", **given):
+        """A component built from this config: each init field of `cls`
+        not `given` takes the config field `prefix + name` if there is
+        one, else the field `name`."""
+        for f in fields(cls):
+            if f.init and f.name not in given:
+                key = prefix + f.name
+                given[f.name] = getattr(
+                    self, key if key in _FIELD_TYPES else f.name)
+        return cls(**given)
+
     def device_params(self) -> DeviceParams:
-        return DeviceParams(
-            eta_ab1_db=self.eta_ab1_db, eta_ab2_db=self.eta_ab2_db,
-            eta_pm_db=self.eta_pm_db, eta_c1d1_db=self.eta_c1d1_db,
-            eta_c1d2_db=self.eta_c1d2_db, eta_c2d1_db=self.eta_c2d1_db,
-            eta_c2d2_db=self.eta_c2d2_db, g_pd1=self.g_pd1, g_pd2=self.g_pd2,
-            v_pi=self.v_pi, p_lo=self.p_lo)
+        return self._view(DeviceParams)
 
     def adc_spec(self) -> AdcSpec:
-        return AdcSpec(bits=self.adc_bits, v_range=self.adc_v_range,
-                       sample_rate=self.sample_rate)
+        return self._view(AdcSpec, "adc_")
 
     def dac_spec(self) -> DacSpec:
-        return DacSpec(bits=self.dac_bits, v_range=self.dac_v_range)
+        return self._view(DacSpec, "dac_")
 
     def controller_config(self) -> ControllerConfig:
-        return ControllerConfig(
-            block_size_n=self.block_size_n, interval_a=self.interval_a,
-            interval_b=self.interval_b, step_c=self.step_c,
-            dac_bits_n=self.dac_bits, dac_init=self.dac_init,
-            invert_loop=self.invert_loop)
+        return self._view(ControllerConfig, dac_bits_n=self.dac_bits)
 
     def extractor_params(self) -> ExtractorParams:
-        return ExtractorParams(m=self.extractor_m, n=self.extractor_n,
-                               epsilon_log2=self.epsilon_log2)
+        return self._view(ExtractorParams, "extractor_")
 
     def chain_state(self, rng_seed: int) -> SignalChainState:
-        return SignalChainState(
-            delta_phi_ambient=self.delta_phi_ambient,
-            drift_rate_std=self.drift_rate_std,
-            sigma_vac=self.sigma_vac, sigma_e=self.sigma_e,
-            rng_seed=rng_seed, p_ref=self.p_ref)
+        return self._view(SignalChainState, rng_seed=rng_seed)
 
     def stream_seeds(self) -> dict[str, int]:
         """Named per-stream seeds derived from the master seed."""
@@ -164,10 +160,14 @@ class PipelineConfig:
         if self.block_size_n * adc.max_code < self.interval_b:
             warnings.warn("decision interval lies above the largest possible "
                           "block sum", stacklevel=2)
-        if self.samples < self.block_size_n:
-            raise ConfigError("samples must cover at least one block")
-        if self.noise_samples < self.block_size_n:
-            raise ConfigError("noise_samples must cover at least one block")
+        # A run simulates whole blocks; it never drops a partial one.
+        for name in ("samples", "noise_samples"):
+            count = getattr(self, name)
+            if count < self.block_size_n:
+                raise ConfigError(f"{name} must cover at least one block")
+            if count % self.block_size_n:
+                raise ConfigError(f"{name} = {count} is not a multiple of "
+                                  f"block_size_n = {self.block_size_n}")
         if not 0 < self.beta < 1:
             raise ConfigError("beta must be in (0, 1)")
         if self.sequence_length < 100 or self.n_sequences < 1:

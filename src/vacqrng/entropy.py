@@ -60,35 +60,27 @@ def min_entropy_discretized(sigma_q_sq: float, lsb_units: float = 1.0) -> float:
     return -math.log2(p_max)
 
 
-def extractor_budget(h_min_per_sample: float, samples_per_block: int,
-                     epsilon: float) -> int:
-    """Largest extractor output (bits/block) meeting security parameter eps.
-
-    floor(samples_per_block * h_min_per_sample - 2*log2(1/epsilon)).
-    """
-    if not 0 < epsilon <= 1:
-        raise ParameterError(f"epsilon must be in (0, 1], got {epsilon}")
-    if h_min_per_sample <= 0:
-        raise ParameterError("h_min_per_sample must be positive")
-    if samples_per_block < 1:
-        raise ParameterError("samples_per_block must be >= 1")
-    budget = math.floor(samples_per_block * h_min_per_sample
-                        - 2.0 * math.log2(1.0 / epsilon))
-    if budget <= 0:
-        raise NoExtractableEntropyError(
-            f"security deduction exhausts the {samples_per_block}-sample "
-            f"entropy budget at epsilon={epsilon}")
-    return budget
-
-
 def block_budget(h_min_per_sample: float, n: int, bits_per_sample: int,
                  epsilon: float) -> int:
     """The admission rule: leftover-hash budget of one n-bit input block,
-    from its whole samples n // bits_per_sample at h_min rounded to the
-    0.01-bit precision the extractor geometry is sized with.  Validation
-    applies it to the configured noise, every estimate to the measured."""
-    return extractor_budget(round(h_min_per_sample, 2), n // bits_per_sample,
-                            epsilon)
+    floor(k * h - 2*log2(1/epsilon)) bits from its k = n // bits_per_sample
+    whole samples at h_min rounded to the 0.01-bit precision the extractor
+    geometry is sized with.  Validation applies it to the configured
+    noise, every estimate to the measured."""
+    if not 0 < epsilon <= 1:
+        raise ParameterError(f"epsilon must be in (0, 1], got {epsilon}")
+    h = round(h_min_per_sample, 2)
+    if h <= 0:
+        raise ParameterError("h_min_per_sample must be positive")
+    samples = n // bits_per_sample
+    if samples < 1:
+        raise ParameterError("an input block must hold a whole sample")
+    budget = math.floor(samples * h - 2.0 * math.log2(1.0 / epsilon))
+    if budget <= 0:
+        raise NoExtractableEntropyError(
+            f"security deduction exhausts the {samples}-sample "
+            f"entropy budget at epsilon={epsilon}")
+    return budget
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,6 @@ class ConfigError(ParameterError):
     """A configuration file failed to parse or validate."""
 
 
-class DegenerateDeviceError(ParameterError):
-    """Device parameters make the interference term vanish, so the phase
-    modulator cannot influence the detector bias."""
-
-
 class NoExtractableEntropyError(ValueError):
     """Measured variances or budget parameters leave no extractable bits."""
 

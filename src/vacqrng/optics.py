@@ -13,11 +13,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import DegenerateDeviceError, ParameterError
-
-# |numerator/denominator| > 1 in the balance equation: no phase can null
-# the bias for this device set.
-UNREACHABLE = float("nan")
+from .errors import ParameterError
 
 
 def db_to_amplitude(loss_db: float) -> float:
@@ -81,31 +77,10 @@ class DeviceParams:
         }
 
 
-def pd1_current(params: DeviceParams, delta_phi: float) -> float:
-    """Detector voltage out of PD1 at arm phase difference delta_phi (rad)."""
-    a = params.amplitudes()
-    e2 = params.e_in_sq
-    dc = (a["ab1"] ** 2 * a["c1d1"] ** 2 * a["pm"] ** 2
-          + a["ab2"] ** 2 * a["c2d1"] ** 2)
-    cross = a["ab1"] * a["c1d1"] * a["pm"] * a["ab2"] * a["c2d1"]
-    return params.g_pd1 * e2 * (dc + 2.0 * cross * math.cos(delta_phi))
-
-
-def pd2_current(params: DeviceParams, delta_phi: float) -> float:
-    """Detector voltage out of PD2 at arm phase difference delta_phi (rad)."""
-    a = params.amplitudes()
-    e2 = params.e_in_sq
-    dc = (a["ab1"] ** 2 * a["c1d2"] ** 2 * a["pm"] ** 2
-          + a["ab2"] ** 2 * a["c2d2"] ** 2)
-    cross = a["ab1"] * a["c1d2"] * a["pm"] * a["ab2"] * a["c2d2"]
-    return params.g_pd2 * e2 * (dc + 2.0 * cross * math.cos(delta_phi))
-
-
-def _difference_coefficients(params: DeviceParams) -> tuple[float, float]:
-    """Constant and cos-coefficient of the PD1-PD2 difference.
-
-    difference(phi) = offset + slope_cos * cos(phi)
-    """
+def homodyne_curve(params: DeviceParams) -> Callable[[float], float]:
+    """Balanced-detector output voltage, PD1 minus PD2, as a function of
+    the arm phase difference (rad): offset + slope_cos * cos(phi), the
+    two coefficients computed once per device."""
     a = params.amplitudes()
     e2 = params.e_in_sq
     offset = (params.g_pd1 * e2 * (a["ab1"] ** 2 * a["c1d1"] ** 2 * a["pm"] ** 2
@@ -115,43 +90,4 @@ def _difference_coefficients(params: DeviceParams) -> tuple[float, float]:
     slope_cos = 2.0 * a["pm"] * e2 * (
         params.g_pd1 * a["ab1"] * a["c1d1"] * a["ab2"] * a["c2d1"]
         - params.g_pd2 * a["ab1"] * a["c1d2"] * a["ab2"] * a["c2d2"])
-    return offset, slope_cos
-
-
-def homodyne_curve(params: DeviceParams) -> Callable[[float], float]:
-    """`homodyne_difference` of one device, its coefficients computed once."""
-    offset, slope_cos = _difference_coefficients(params)
     return lambda delta_phi: offset + slope_cos * math.cos(delta_phi)
-
-
-def homodyne_difference(params: DeviceParams, delta_phi: float) -> float:
-    """Balanced-detector output voltage: PD1 minus PD2."""
-    return homodyne_curve(params)(delta_phi)
-
-
-def balance_phase(params: DeviceParams, mirrored: bool = False) -> float:
-    """Phase difference that nulls the homodyne DC offset.
-
-    Solves offset + slope_cos*cos(phi) = 0 for phi on the principal arccos
-    branch [0, pi]; `mirrored=True` returns the equally valid mirror
-    solution -phi.  Returns the UNREACHABLE marker (NaN) when the required
-    |cos| exceeds 1, i.e. the device asymmetry is too large to cancel with
-    phase alone.  Raises DegenerateDeviceError when the cos coefficient
-    vanishes (phase has no influence on the bias).
-    """
-    offset, slope_cos = _difference_coefficients(params)
-    scale = max(abs(offset), abs(params.g_pd1 * params.e_in_sq),
-                abs(params.g_pd2 * params.e_in_sq))
-    if slope_cos == 0.0 or abs(slope_cos) < 1e-15 * scale:
-        raise DegenerateDeviceError(
-            "interference coefficient is zero; phase cannot cancel the bias")
-    rhs = -offset / slope_cos
-    if abs(rhs) > 1.0:
-        return UNREACHABLE
-    phi = math.acos(rhs)
-    return -phi if mirrored else phi
-
-
-def is_unreachable(phi: float) -> bool:
-    """True when balance_phase returned the unreachable marker."""
-    return math.isnan(phi)

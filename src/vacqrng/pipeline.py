@@ -156,8 +156,7 @@ def write_streams(out: Path, run: LoopRun,
     return paths
 
 
-def simulate_run(config: PipelineConfig, lo_off: bool = False,
-                 n_blocks: int | None = None) -> LoopRun:
+def simulate_run(config: PipelineConfig, lo_off: bool = False) -> LoopRun:
     """One closed-loop (or frozen noise-only) simulation per the config."""
     seeds = config.stream_seeds()
     params = config.device_params()
@@ -168,39 +167,32 @@ def simulate_run(config: PipelineConfig, lo_off: bool = False,
     else:
         chain = config.chain_state(seeds["lo_on"])
         total = config.samples
-    if n_blocks is None:
-        n_blocks = max(1, total // config.block_size_n)
     return run_closed_loop(params, chain, config.controller_config(),
-                           n_blocks, adc=config.adc_spec(),
-                           dac=config.dac_spec(), frozen=lo_off)
+                           max(1, total // config.block_size_n),
+                           adc=config.adc_spec(), dac=config.dac_spec(),
+                           frozen=lo_off)
 
 
-def select_centered(run: LoopRun, discard_unlocked: bool) -> np.ndarray:
-    """Concatenate the centered samples of the blocks that feed downstream.
+def select_centered(config: PipelineConfig, run: LoopRun) -> np.ndarray:
+    """The LO-on samples that entropy estimation and extraction read,
+    the centered samples of the selected blocks concatenated.
 
     Everything before the first locked block is dropped: during loop
     acquisition the detector sits far off center, and those transient
     blocks (railed or strongly offset) are not representative output.
-    Saturated blocks are dropped too.  Steady-state unlocked blocks (the
-    loop dithering around the interval) are kept unless `discard_unlocked`
-    is set.
+    Saturated blocks are dropped too: a railed block centers to a
+    constant stream that would dilute the output with known bits.
+    Steady-state unlocked blocks (the loop dithering around the interval)
+    are kept unless `discard_unlocked` is set.
     """
     keep = ~run.saturated
     first = run.first_locked()
     keep[:len(run) if first is None else first] = False
-    if discard_unlocked:
+    if config.discard_unlocked:
         keep &= run.locked
     if not keep.any():
         raise DataError("no usable blocks after saturation/lock filtering")
     return run.centered[keep].reshape(-1)
-
-
-def measured_samples(config: PipelineConfig, run: LoopRun) -> np.ndarray:
-    """The LO-on samples that entropy estimation and extraction read:
-    from the first lock on, saturated blocks never, unlocked blocks
-    unless `discard_unlocked` is set.  A railed block centers to a
-    constant stream that would dilute the output with known bits."""
-    return select_centered(run, discard_unlocked=config.discard_unlocked)
 
 
 def noise_samples(config: PipelineConfig) -> np.ndarray:
@@ -279,7 +271,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
     extracted_bits = 0
     extract_seconds = 0.0
     try:
-        measured = measured_samples(config, run_on)
+        measured = select_centered(config, run_on)
         entropy, budget = estimate_entropy(config, measured, noise)
         if config.extractor_m > budget:
             raise NoExtractableEntropyError(

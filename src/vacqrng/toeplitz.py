@@ -27,11 +27,10 @@ with one shifted read of byte pairs, hashes, and writes the output into
 its slice of the packed result: the first m/8 bytes of each accumulator
 row when m % 8 == 0, else the m-bit rows unpacked and repacked end to
 end.  No array holds one byte per bit of the input samples; only the
-m % 8 != 0 output (and `extract_blocks`, which takes bit rows) unpacks
-to one byte per bit.  Chunks are taken from one shared iterator by the
-caller's thread and one helper thread, started only when the stream spans
-more than one chunk; a one-chunk call starts no thread.  The helper calls
-only private functions, never the public wrappers.
+m % 8 != 0 output unpacks to one byte per bit.  Chunks are taken from
+one shared iterator by the caller's thread and one helper thread, started
+only when the stream spans more than one chunk; a one-chunk call starts
+no thread.  The helper calls only private functions.
 
 Bit conventions, fixed for all stream and file formats:
   * samples enter the input block least-significant-bit first, samples in
@@ -120,14 +119,6 @@ def generate_test_seed(params: ExtractorParams, seed_value: int) -> ToeplitzSeed
     return ToeplitzSeed(bits=bits, origin=f"test-generator(pcg64:{seed_value})")
 
 
-def toeplitz_row(seed: ToeplitzSeed, i: int, params: ExtractorParams) -> np.ndarray:
-    """Row i of the Toeplitz matrix: seed[i : i+n] reversed."""
-    seed.check_length(params)
-    if not 0 <= i < params.m:
-        raise ParameterError(f"row index {i} out of range [0, {params.m})")
-    return seed.bits[i:i + params.n][::-1].copy()
-
-
 def toeplitz_matrix(seed: ToeplitzSeed, params: ExtractorParams) -> np.ndarray:
     """Dense m x n matrix, entry(i, j) = seed[i - j + n - 1]."""
     seed.check_length(params)
@@ -141,25 +132,6 @@ def extract_block_dense(block_bits: np.ndarray, seed: ToeplitzSeed,
     x = _check_block(block_bits, params)
     matrix = toeplitz_matrix(seed, params)
     return (matrix.astype(np.int64) @ x.astype(np.int64) % 2).astype(np.uint8)
-
-
-def extract_block(block_bits: np.ndarray, seed: ToeplitzSeed,
-                  params: ExtractorParams) -> np.ndarray:
-    """Fast path: one n-bit block in, m-bit block out."""
-    x = _check_block(block_bits, params)
-    return extract_blocks(x[None, :], seed, params)[0]
-
-
-def extract_blocks(blocks: np.ndarray, seed: ToeplitzSeed,
-                   params: ExtractorParams) -> np.ndarray:
-    """Extract many blocks at once: (k, n) bits in, (k, m) bits out."""
-    blocks = np.asarray(blocks)
-    if blocks.ndim != 2 or blocks.shape[1] != params.n:
-        raise ParameterError(f"blocks must have shape (k, {params.n})")
-    words = _hash(np.packbits(blocks, axis=1, bitorder="little"),
-                  _byte_table(seed, params))
-    return np.unpackbits(words.view(np.uint8), axis=1, count=params.m,
-                         bitorder="little")
 
 
 def _hash(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:

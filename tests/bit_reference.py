@@ -4,7 +4,9 @@ Each sample is widened to one byte per bit, the bits are cut into n-bit
 blocks and every block is multiplied by the dense Toeplitz matrix.  The
 production stream never forms an array of one byte per bit; this module
 does so on purpose, so that it shares nothing with the byte path but the
-dense matrix.
+dense matrix.  `hash_bit_rows` goes the other way: it feeds bit rows to
+the production stream, one bit per sample, for the tests that compare the
+fast path with the dense matrix block by block.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from vacqrng.errors import ParameterError
 from vacqrng.toeplitz import (ExtractorParams, ToeplitzSeed,
-                              extract_block_dense, pack_bits)
+                              extract_block_dense, extract_stream, pack_bits)
 
 
 def samples_to_bits(samples, bits_per_sample: int = 12) -> np.ndarray:
@@ -42,3 +44,14 @@ def dense_stream(samples, seed: ToeplitzSeed, params: ExtractorParams,
     return pack_bits(np.concatenate(
         [extract_block_dense(blk, seed, params) for blk in blocks]
         + [np.zeros(0, dtype=np.uint8)]))
+
+
+def hash_bit_rows(blocks, seed: ToeplitzSeed,
+                  params: ExtractorParams) -> np.ndarray:
+    """(k, n) input bit rows hashed by `extract_stream` at one bit per
+    sample, as (k, m) output bit rows."""
+    blocks = np.asarray(blocks, dtype=np.uint8)
+    packed = extract_stream(blocks.reshape(-1), seed, params,
+                            bits_per_sample=1)
+    return np.unpackbits(packed, count=len(blocks) * params.m,
+                         bitorder="little").reshape(len(blocks), params.m)

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm, poisson
 
-from vacqrng.optics import balance_phase, homodyne_difference
+from vacqrng.optics import homodyne_curve
+from tests.optics_reference import balance_phase
 
 GRID_PER_STEP = 50
 TAIL = 5e-7       # false-fail probability of each side of a two-sided check
@@ -63,9 +64,9 @@ class LoopChain:
         self.invert = config.invert_loop
         self.mid_sum = self.n * adc.mid_code
         self.rad_per_code = math.pi * dac.v_range / 2 ** dac.bits / params.v_pi
-        # homodyne_difference(phi) = offset + amp * cos(phi)
-        d0 = homodyne_difference(params, 0.0)
-        d_pi = homodyne_difference(params, math.pi)
+        # homodyne_curve(params)(phi) = offset + amp * cos(phi)
+        difference = homodyne_curve(params)
+        d0, d_pi = difference(0.0), difference(math.pi)
         self.offset, self.amp = (d0 + d_pi) / 2, (d0 - d_pi) / 2
         # The stable balance is where a low sum's step raises the sum: the
         # sum falls with the code for the plain loop, rises for the inverted.

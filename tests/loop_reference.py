@@ -18,7 +18,7 @@ import numpy as np
 
 from vacqrng.controller import ControllerConfig, LoopRun, center_codes, decide
 from vacqrng.errors import ParameterError
-from vacqrng.optics import DeviceParams, homodyne_difference
+from vacqrng.optics import DeviceParams, homodyne_curve
 from vacqrng.signal_chain import AdcSpec, DacSpec, SignalChainState
 
 
@@ -72,11 +72,12 @@ def run_per_block(params: DeviceParams, chain: SignalChainState,
     dac = dac or DacSpec()
     tau = cfg.block_size_n / adc.sample_rate
     code = cfg.dac_init if initial is None else initial
+    difference = homodyne_curve(params)
     blocks: list[SampleBlock] = []
     trace: list[BlockRecord] = []
     for i in range(n_blocks):
         phase = math.pi * (code * dac.v_range / 2 ** dac.bits) / params.v_pi
-        mean = homodyne_difference(params, chain.delta_phi_ambient + phase)
+        mean = difference(chain.delta_phi_ambient + phase)
         quantum = chain._rng.standard_normal(cfg.block_size_n)
         electronic = chain._rng.standard_normal(cfg.block_size_n)
         volts = (mean + chain.quantum_std(params.p_lo) * quantum

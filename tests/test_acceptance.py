@@ -20,6 +20,7 @@ rails 4.75 sigma out saturate ~2e-3 of blocks.  The criterion still
 reports the spec's three numbers next to the model's.
 """
 
+import math
 import time
 from dataclasses import replace
 
@@ -29,18 +30,19 @@ from scipy.stats import norm
 
 from vacqrng.config import PipelineConfig
 from vacqrng.controller import decide, run_closed_loop
-from vacqrng.entropy import extractor_budget, min_entropy
-from vacqrng.optics import (DeviceParams, balance_phase,
-                            homodyne_difference, is_unreachable, pd1_current)
-from vacqrng.pipeline import extract_measured, measured_samples, simulate_run
+from vacqrng.entropy import block_budget, min_entropy
+from vacqrng.optics import DeviceParams, homodyne_curve
+from vacqrng.pipeline import extract_measured, select_centered, simulate_run
 from vacqrng.stattests import (approximate_entropy_test, block_frequency_test,
                                cumulative_sums_test, monobit_test,
                                pass_proportion_interval, run_suite, runs_test)
 from vacqrng.toeplitz import (ExtractorParams, extract_block_dense,
-                              extract_blocks, generate_test_seed,
+                              extract_stream, generate_test_seed,
                               toeplitz_matrix)
+from tests.bit_reference import hash_bit_rows
 from tests.conftest import record_criterion
 from tests.loop_model import WINDOW_BLOCKS, judge_lock_in
+from tests.optics_reference import balance_phase, pd1_current
 from tests.test_controller import oracle_decide
 from tests.test_stattests import PI_100, bits
 
@@ -59,7 +61,7 @@ def default_run():
 def extracted_hundred_meg(default_run):
     """At least 1e8 extracted bits from the shared run."""
     config, run = default_run
-    centered = measured_samples(config, run)
+    centered = select_centered(config, run)
     _, packed, _ = extract_measured(config, centered)
     out = np.unpackbits(packed, bitorder="little")
     assert out.size >= 100_000_000
@@ -82,7 +84,8 @@ def test_criterion_1_min_entropy_reproduction():
 
 
 def test_criterion_2_extractor_budget_consistency():
-    m = extractor_budget(10.08, 200, 2.0 ** -48)
+    # 2400-bit blocks of 12-bit samples: 200 samples per block
+    m = block_budget(10.08, 2400, 12, 2.0 ** -48)
     record_criterion(2, "extractor-budget consistency", m == 1920,
                      f"budget={m} (target 1920 = 2016 - 96)")
     assert m == 1920
@@ -93,7 +96,7 @@ def test_criterion_3_balance_correctness():
     params = DeviceParams()
     phi = balance_phase(params)
     scale = abs(pd1_current(params, 0.0))
-    assert abs(homodyne_difference(params, phi)) <= 1e-9 * scale
+    assert abs(homodyne_curve(params)(phi)) <= 1e-9 * scale
 
     rng = np.random.default_rng(314159)
     checked = 0
@@ -107,10 +110,10 @@ def test_criterion_3_balance_correctness():
             g_pd1=rng.uniform(1e4, 1e5), g_pd2=rng.uniform(1e4, 1e5),
             p_lo=rng.uniform(0.5, 10))
         phi = balance_phase(p)
-        if is_unreachable(phi):
+        if math.isnan(phi):
             continue
         checked += 1
-        rel = abs(homodyne_difference(p, phi)) / abs(pd1_current(p, 0.0))
+        rel = abs(homodyne_curve(p)(phi)) / abs(pd1_current(p, 0.0))
         worst = max(worst, rel)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 1.0
@@ -166,8 +169,9 @@ def test_criterion_4_rejects_mirror_lock(default_run):
     """Negative control: an inverted loop acquires the mirror balance code,
     which the check for the plain loop must reject."""
     config = default_run[0]
-    inverted = replace(config, invert_loop=True)
-    run = simulate_run(inverted, n_blocks=WINDOW_BLOCKS)
+    inverted = replace(config, invert_loop=True,
+                       samples=WINDOW_BLOCKS * config.block_size_n)
+    run = simulate_run(inverted)
     failures = judge_lock_in(config, run).failures
     assert any(f.startswith("(a)") for f in failures)
     assert not judge_lock_in(inverted, run).failures
@@ -208,7 +212,7 @@ def test_criterion_6_centering(default_run):
     n = config.block_size_n
     worst_residual = int(np.abs(run.centered.sum(axis=1, dtype=np.int64))
                          .max())
-    stream = measured_samples(config, run)
+    stream = select_centered(config, run)
     assert stream.size >= 10_000_000
     grand_mean_lsb = float(np.mean(stream[:10_000_000])) / 2.0
     ok = worst_residual <= n // 2 and abs(grand_mean_lsb) <= 0.05
@@ -228,7 +232,7 @@ def test_criterion_7_extractor_correctness():
     for seed_value in (10, 20, 30, 40):
         seed = generate_test_seed(params, seed_value)
         x = rng.integers(0, 2, size=(25, params.n), dtype=np.uint8)
-        fast = extract_blocks(x, seed, params)
+        fast = hash_bit_rows(x, seed, params)
         dense = (toeplitz_matrix(seed, params).astype(np.int64)
                  @ x.T.astype(np.int64) % 2).T.astype(np.uint8)
         agree = agree and np.array_equal(fast, dense)
@@ -239,7 +243,7 @@ def test_criterion_7_extractor_correctness():
             p = ExtractorParams(m=m, n=n)
             s = generate_test_seed(p, 100 * m + n)
             xs = rng.integers(0, 2, size=(8, n), dtype=np.uint8)
-            fast = extract_blocks(xs, s, p)
+            fast = hash_bit_rows(xs, s, p)
             dense = (toeplitz_matrix(s, p).astype(np.int64)
                      @ xs.T.astype(np.int64) % 2).T.astype(np.uint8)
             small_agree = small_agree and np.array_equal(fast, dense)
@@ -248,8 +252,8 @@ def test_criterion_7_extractor_correctness():
     x = rng.integers(0, 2, size=(10_000, params.n), dtype=np.uint8)
     y = rng.integers(0, 2, size=(10_000, params.n), dtype=np.uint8)
     linear = np.array_equal(
-        extract_blocks(x ^ y, seed, params),
-        extract_blocks(x, seed, params) ^ extract_blocks(y, seed, params))
+        hash_bit_rows(x ^ y, seed, params),
+        hash_bit_rows(x, seed, params) ^ hash_bit_rows(y, seed, params))
     elapsed = time.perf_counter() - start
     ok = agree and small_agree and linear and elapsed < 60
     record_criterion(7, "extractor correctness", ok,
@@ -287,16 +291,17 @@ def test_criterion_9_throughput_report():
     seed = generate_test_seed(params, 7)
     blocks = np.random.default_rng(7).integers(0, 2, size=(n_blocks, params.n),
                                                dtype=np.uint8)
+    # `extract_stream`, the path `all` runs, fed one bit per sample.
     # Warm-up, so that first-touch page faults fall outside the timing.
-    extract_blocks(blocks[:64], seed, params)
+    extract_stream(blocks[:64].reshape(-1), seed, params, bits_per_sample=1)
     start = time.perf_counter()
-    out = extract_blocks(blocks, seed, params)
+    out = extract_stream(blocks.reshape(-1), seed, params, bits_per_sample=1)
     fast_s = time.perf_counter() - start
     start = time.perf_counter()
     extract_block_dense(blocks[0], seed, params)
     dense_s = time.perf_counter() - start
 
-    assert out.shape == (n_blocks, params.m)
+    assert out.size == n_blocks * params.m // 8
     output_mbps = n_blocks * params.m / fast_s / 1e6
     ok = output_mbps > 0
     record_criterion(

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +16,15 @@ import vacqrng
 from vacqrng import pipeline
 from vacqrng.cli import main
 from vacqrng.config import PipelineConfig, load_config, parse_config_text
-from vacqrng.controller import LoopRun
+from vacqrng.controller import ControllerConfig, LoopRun
 from vacqrng.errors import (ConfigError, DataError,
                             NoExtractableEntropyError, ParameterError)
 from vacqrng.pipeline import (LoopSummary, run_pipeline, select_centered,
                               simulate_run, suite_on_packed)
+from vacqrng.optics import DeviceParams
+from vacqrng.signal_chain import AdcSpec, DacSpec, SignalChainState
 from vacqrng.stattests import run_suite
-from vacqrng.toeplitz import pack_bits, unpack_bits
+from vacqrng.toeplitz import ExtractorParams, pack_bits, unpack_bits
 
 QUICK = dict(samples=200_000, noise_samples=100_000, dac_init=5182,
              sequence_length=100_000, n_sequences=2)
@@ -138,6 +141,19 @@ class TestConfigValidation:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sample_counts_must_be_block_multiples(self, tmp_path, capsys):
+        # rejected at load, not cut to whole blocks without notice
+        for key in ("samples", "noise_samples"):
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = 1500\n")
+            with pytest.raises(ConfigError,
+                               match=rf"^{key} = 1500 is not a multiple"):
+                load_config(cfg)
+        out = tmp_path / "out"
+        assert main(["simulate", "--samples", "1500", "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSeedsAndHash:
     def test_stream_seeds_deterministic_and_distinct(self):
@@ -153,6 +169,39 @@ class TestSeedsAndHash:
             == PipelineConfig().config_hash()
         assert PipelineConfig().config_hash() \
             != PipelineConfig(p_lo=4.9).config_hash()
+
+    def test_default_config_format_pinned(self):
+        # config.txt of the defaults, whose hash every JSON artifact embeds
+        assert PipelineConfig().config_hash() == "eeaaa4ec556eb165"
+
+    def test_views_match_component_defaults(self):
+        # PipelineConfig and each component spell out the reference defaults
+        config = PipelineConfig()
+        assert config.device_params() == DeviceParams()
+        assert config.adc_spec() == AdcSpec()
+        assert config.dac_spec() == DacSpec()
+        assert config.controller_config() == ControllerConfig()
+        assert config.extractor_params() == ExtractorParams()
+        # the chain's generator compares by identity: compare init fields
+        names = [f.name for f in fields(SignalChainState) if f.init]
+        state, default = config.chain_state(0), SignalChainState()
+        assert ([getattr(state, name) for name in names]
+                == [getattr(default, name) for name in names])
+
+    def test_views_take_prefixed_fields(self):
+        config = PipelineConfig(adc_bits=10, adc_v_range=2.0, sample_rate=4e7,
+                                dac_bits=12, dac_v_range=3.0, dac_init=7,
+                                extractor_m=100, extractor_n=200,
+                                epsilon_log2=20, sigma_e=0.01)
+        assert config.adc_spec() == AdcSpec(bits=10, v_range=2.0,
+                                            sample_rate=4e7)
+        assert config.dac_spec() == DacSpec(bits=12, v_range=3.0)
+        assert config.controller_config() == ControllerConfig(dac_bits_n=12,
+                                                              dac_init=7)
+        assert config.extractor_params() == ExtractorParams(
+            m=100, n=200, epsilon_log2=20)
+        state = config.chain_state(5)
+        assert (state.rng_seed, state.sigma_e) == (5, 0.01)
 
     def test_text_roundtrip(self):
         config = PipelineConfig(p_lo=3.3, invert_loop=True, master_seed=17)
@@ -249,9 +298,10 @@ class TestPipeline:
         # from the balance code the first block locks and none saturates,
         # so only the lock filter can drop blocks
         assert run.first_locked() == 0 and not run.saturated.any()
-        full = select_centered(run, discard_unlocked=False)
+        locked_config = replace(config, discard_unlocked=True)
+        full = select_centered(config, run)
         assert full.size == config.samples
-        locked_only = select_centered(run, discard_unlocked=True)
+        locked_only = select_centered(locked_config, run)
         n_locked = int(run.locked.sum())
         assert locked_only.size == n_locked * config.block_size_n
         # blocks before the first lock and saturated blocks never pass
@@ -261,8 +311,10 @@ class TestPipeline:
         synthetic = LoopRun(codes=rows, centered=rows, sums=rows[:, 0],
                             dac_before=rows[:, 0], dac_after=rows[:, 0],
                             locked=locked, saturated=saturated)
-        assert select_centered(synthetic, False).tolist() == [2, 2, 4, 4, 5, 5]
-        assert select_centered(synthetic, True).tolist() == [2, 2, 4, 4]
+        assert select_centered(config, synthetic).tolist() \
+            == [2, 2, 4, 4, 5, 5]
+        assert select_centered(locked_config, synthetic).tolist() \
+            == [2, 2, 4, 4]
 
 
 class TestCli:

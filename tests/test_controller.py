@@ -12,9 +12,10 @@ from vacqrng.config import PipelineConfig
 from vacqrng.controller import (CHUNK_BLOCKS, ControllerConfig, center_codes,
                                 decide, run_closed_loop)
 from vacqrng.errors import ParameterError
-from vacqrng.optics import DeviceParams, balance_phase
+from vacqrng.optics import DeviceParams, homodyne_curve
 from vacqrng.signal_chain import SignalChainState
 from tests.loop_reference import as_loop_run, process_block, run_per_block
+from tests.optics_reference import balance_phase
 from tests.test_optics import symmetric_params
 
 CFG = ControllerConfig()
@@ -190,11 +191,11 @@ class TestClosedLoop:
         # expected SUM, making "SUM > B -> increase dac" corrective
         params = DeviceParams()
         dac_grid = range(5100, 5260, 5)
+        difference = homodyne_curve(params)
         means = []
         for dac in dac_grid:
             phase = math.pi * dac * 2.480 / (2 ** 14 * 1.240)
-            from vacqrng.optics import homodyne_difference
-            volts = homodyne_difference(params, phase)
+            volts = difference(phase)
             means.append(2048 + volts * 4096)
         assert all(a > b for a, b in zip(means, means[1:]))
 

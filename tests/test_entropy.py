@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from vacqrng.config import PipelineConfig
-from vacqrng.entropy import (build_report, extractor_budget, min_entropy,
+from vacqrng.entropy import (block_budget, build_report, min_entropy,
                              min_entropy_discretized, sample_variance)
 from vacqrng.errors import NoExtractableEntropyError, ParameterError
-from vacqrng.pipeline import measured_samples, noise_samples, simulate_run
+from vacqrng.pipeline import noise_samples, select_centered, simulate_run
 
 
 class TestSampleVariance:
@@ -74,17 +74,22 @@ class TestMinEntropy:
         assert disc == pytest.approx(cont, abs=0.01)
 
 
+def budget(h_min: float, samples_per_block: int, epsilon: float) -> int:
+    """block_budget of a block of whole 12-bit samples."""
+    return block_budget(h_min, 12 * samples_per_block, 12, epsilon)
+
+
 class TestExtractorBudget:
     def test_reference_geometry(self):
-        assert extractor_budget(10.08, 200, 2.0 ** -48) == 1920
+        assert budget(10.08, 200, 2.0 ** -48) == 1920
 
     def test_no_security_deduction(self):
         # epsilon -> 1 costs nothing; full-entropy samples pass through
-        assert extractor_budget(12.0, 200, 1.0) == 2400
+        assert budget(12.0, 200, 1.0) == 2400
 
     def test_budget_exhausted(self):
         with pytest.raises(NoExtractableEntropyError):
-            extractor_budget(0.4, 200, 2.0 ** -48)
+            budget(0.4, 200, 2.0 ** -48)
 
     def test_never_exceeds_raw_bits(self):
         rng = np.random.default_rng(8)
@@ -92,16 +97,16 @@ class TestExtractorBudget:
             h = rng.uniform(0.1, 12.0)
             spb = int(rng.integers(1, 500))
             try:
-                m = extractor_budget(h, spb, 2.0 ** -48)
+                m = budget(h, spb, 2.0 ** -48)
             except NoExtractableEntropyError:
                 continue
             assert m <= spb * 12
 
     def test_invalid_epsilon(self):
         with pytest.raises(ParameterError):
-            extractor_budget(10.0, 200, 0.0)
+            budget(10.0, 200, 0.0)
         with pytest.raises(ParameterError):
-            extractor_budget(10.0, 200, 1.5)
+            budget(10.0, 200, 1.5)
 
 
 class TestEndToEnd:
@@ -109,7 +114,7 @@ class TestEndToEnd:
         cfg = PipelineConfig(samples=2_000_000, noise_samples=1_000_000)
         # the samples `all` estimates from: LO-on blocks from the first
         # lock on, and the whole frozen LO-off run
-        measured = measured_samples(cfg, simulate_run(cfg))
+        measured = select_centered(cfg, simulate_run(cfg))
         report = build_report(measured, noise_samples(cfg), adc_bits=12)
         assert report.h_min_per_sample == pytest.approx(10.08, abs=0.05)
         assert report.sigma_m_sq == pytest.approx(1.86e5, rel=0.02)
@@ -124,7 +129,7 @@ class TestEndToEnd:
         # start at the balance code so a short run has usable blocks
         cfg = PipelineConfig(samples=100_000, noise_samples=100_000,
                              dac_init=5182)
-        report = build_report(measured_samples(cfg, simulate_run(cfg)),
+        report = build_report(select_centered(cfg, simulate_run(cfg)),
                               noise_samples(cfg))
         payload = json.loads(report.to_json())
         assert payload["sample_count"] == report.sample_count

@@ -1,14 +1,18 @@
-"""Interferometer model: photocurrents, difference, balance phase."""
+"""Interferometer model: photocurrents, difference, balance phase.
+
+The photocurrents and the balance phase come from the test-side oracle
+`tests.optics_reference`; the difference is the production model's.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from vacqrng.errors import DegenerateDeviceError, ParameterError
-from vacqrng.optics import (DeviceParams, balance_phase, db_to_amplitude,
-                            homodyne_difference, is_unreachable, pd1_current,
-                            pd2_current)
+from vacqrng.errors import ParameterError
+from vacqrng.optics import DeviceParams, db_to_amplitude, homodyne_curve
+from tests.optics_reference import (DegenerateDeviceError, balance_phase,
+                                    pd1_current, pd2_current)
 
 LOSSLESS = dict(eta_ab1_db=0.0, eta_ab2_db=0.0, eta_pm_db=0.0,
                 eta_c1d1_db=0.0, eta_c1d2_db=0.0, eta_c2d1_db=0.0,
@@ -111,24 +115,24 @@ class TestHomodyneDifference:
     def test_symmetric_device_vanishes_everywhere(self):
         p = symmetric_params()
         for phi in np.linspace(0, 2 * math.pi, 101):
-            assert homodyne_difference(p, phi) == 0.0
+            assert homodyne_curve(p)(phi) == 0.0
 
     def test_equals_pd1_minus_pd2_on_grid(self):
         p = DeviceParams()
         for phi in np.linspace(0, 2 * math.pi, 1100):
             direct = pd1_current(p, phi) - pd2_current(p, phi)
-            assert homodyne_difference(p, phi) == pytest.approx(
+            assert homodyne_curve(p)(phi) == pytest.approx(
                 direct, abs=1e-12 * max(1.0, abs(direct)))
 
     def test_measured_device_at_zero_phase(self):
         p = DeviceParams()
-        assert homodyne_difference(p, 0.0) == pytest.approx(
+        assert homodyne_curve(p)(0.0) == pytest.approx(
             reference_difference(p, 0.0), rel=1e-12)
 
     def test_zero_at_balance_phase(self):
         p = DeviceParams()
         phi = balance_phase(p)
-        assert abs(homodyne_difference(p, phi)) <= 1e-12 * pd1_current(p, 0.0)
+        assert abs(homodyne_curve(p)(phi)) <= 1e-12 * pd1_current(p, 0.0)
 
 
 class TestBalancePhase:
@@ -150,20 +154,20 @@ class TestBalancePhase:
         p = DeviceParams()
         phi = balance_phase(p)
         assert 0.0 <= phi <= math.pi
-        assert abs(homodyne_difference(p, phi)) \
+        assert abs(homodyne_curve(p)(phi)) \
             <= 1e-9 * abs(pd1_current(p, 0.0))
 
     def test_mirrored_branch(self):
         p = DeviceParams()
         phi = balance_phase(p, mirrored=True)
         assert phi == pytest.approx(-balance_phase(p), rel=1e-12)
-        assert abs(homodyne_difference(p, phi)) \
+        assert abs(homodyne_curve(p)(phi)) \
             <= 1e-9 * abs(pd1_current(p, 0.0))
 
     def test_unreachable_for_large_gain_imbalance(self):
         # scaling g_pd1 far above g_pd2 pushes |cos| past 1
         p = DeviceParams(g_pd1=5.55e6)
-        assert is_unreachable(balance_phase(p))
+        assert math.isnan(balance_phase(p))
 
     def test_degenerate_device_reported(self):
         # identical arms make the cos coefficient vanish exactly
@@ -183,10 +187,10 @@ class TestBalancePhase:
                 g_pd1=rng.uniform(3e4, 8e4), g_pd2=rng.uniform(3e4, 8e4),
                 p_lo=rng.uniform(1, 10))
             phi = balance_phase(p)
-            if is_unreachable(phi):
+            if math.isnan(phi):
                 continue
             checked += 1
-            assert abs(homodyne_difference(p, phi)) \
+            assert abs(homodyne_curve(p)(phi)) \
                 <= 1e-9 * abs(pd1_current(p, 0.0))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vacqrng.errors import ParameterError
-from vacqrng.optics import DeviceParams, homodyne_difference
+from vacqrng.optics import DeviceParams, homodyne_curve
 from vacqrng.signal_chain import (AdcSpec, DacSpec, SignalChainState,
                                   adc_clip, adc_ideal_codes,
                                   block_noise_width, dac_to_phase,
@@ -33,8 +33,7 @@ def block_volts(params: DeviceParams, state: SignalChainState,
                 phase_control: float, n: int) -> np.ndarray:
     """One block of n detector samples at a fixed modulator phase."""
     quantum, electronic, _ = draw_blocks(params, state, 1, n)
-    mean = homodyne_difference(params,
-                               state.delta_phi_ambient + phase_control)
+    mean = homodyne_curve(params)(state.delta_phi_ambient + phase_control)
     return detector_volts(mean, quantum[0], electronic[0])
 
 
@@ -195,8 +194,9 @@ class TestBulkNoise:
                         for _ in range(2))
         noise = draw_block_noise(bulk, np.empty((k, block_noise_width(n))))
         quantum, electronic, drift = scale_block_noise(p, bulk, noise, dt)
+        difference = homodyne_curve(p)
         for i in range(k):
-            mean = homodyne_difference(p, bulk.delta_phi_ambient + phase)
+            mean = difference(bulk.delta_phi_ambient + phase)
             got = detector_volts(mean, quantum[i], electronic[i])
             q = inline._rng.standard_normal(n)
             e = inline._rng.standard_normal(n)

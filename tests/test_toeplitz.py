@@ -11,24 +11,29 @@ import pytest
 from vacqrng import toeplitz
 from vacqrng.errors import ParameterError
 from vacqrng.toeplitz import (_CHUNK_BLOCKS, ExtractorParams, ToeplitzSeed,
-                              extract_block,
-                              extract_block_dense, extract_blocks,
-                              extract_stream, generate_test_seed, load_seed,
-                              pack_bits, save_seed,
-                              toeplitz_matrix, toeplitz_row, unpack_bits)
-from tests.bit_reference import dense_stream, samples_to_bits
+                              extract_block_dense, extract_stream,
+                              generate_test_seed, load_seed, pack_bits,
+                              save_seed, toeplitz_matrix, unpack_bits)
+from tests.bit_reference import dense_stream, hash_bit_rows, samples_to_bits
 
 
 def bits(s: str) -> np.ndarray:
     return np.array([int(c) for c in s], dtype=np.uint8)
 
 
+def hash_block(x: np.ndarray, seed: ToeplitzSeed,
+               params: ExtractorParams) -> np.ndarray:
+    """One n-bit block through the fast path, as its m output bits."""
+    return hash_bit_rows(x[None, :], seed, params)[0]
+
+
 class TestRowIndexing:
     def test_two_by_three_rows(self):
         params = ExtractorParams(m=2, n=3)
         seed = ToeplitzSeed(bits("0111"))  # s0..s3 = 0,1,1,1
-        assert list(toeplitz_row(seed, 0, params)) == [1, 1, 0]  # s2 s1 s0
-        assert list(toeplitz_row(seed, 1, params)) == [1, 1, 1]  # s3 s2 s1
+        rows = toeplitz_matrix(seed, params)
+        assert list(rows[0]) == [1, 1, 0]  # s2 s1 s0
+        assert list(rows[1]) == [1, 1, 1]  # s3 s2 s1
 
     def test_diagonal_constancy_eight_square(self):
         params = ExtractorParams(m=8, n=8)
@@ -39,28 +44,32 @@ class TestRowIndexing:
                 assert matrix[i, j] == matrix[i + 1, j + 1]
 
     def test_matrix_matches_rows(self):
+        # row i is seed[i : i+n] reversed
         params = ExtractorParams(m=5, n=9)
         seed = generate_test_seed(params, 42)
         matrix = toeplitz_matrix(seed, params)
         for i in range(params.m):
-            assert np.array_equal(matrix[i], toeplitz_row(seed, i, params))
+            assert np.array_equal(matrix[i],
+                                  seed.bits[i:i + params.n][::-1])
 
     def test_row_index_out_of_range(self):
         params = ExtractorParams(m=2, n=3)
-        with pytest.raises(ParameterError):
-            toeplitz_row(generate_test_seed(params, 1), 2, params)
+        matrix = toeplitz_matrix(generate_test_seed(params, 1), params)
+        assert matrix.shape == (2, 3)
+        with pytest.raises(IndexError):
+            matrix[2]
 
     def test_seed_length_checked(self):
         params = ExtractorParams(m=2, n=3)
         with pytest.raises(ParameterError):
-            toeplitz_row(ToeplitzSeed(bits("01")), 0, params)
+            toeplitz_matrix(ToeplitzSeed(bits("01")), params)
 
 
 class TestExtractBlock:
     def test_zero_input_zero_output(self):
         params = ExtractorParams(m=16, n=24)
         seed = generate_test_seed(params, 4)
-        out = extract_block(np.zeros(24, dtype=np.uint8), seed, params)
+        out = hash_block(np.zeros(24, dtype=np.uint8), seed, params)
         assert not out.any()
 
     def test_unit_inputs_read_out_columns(self):
@@ -70,7 +79,7 @@ class TestExtractBlock:
         for j in range(params.n):
             e = np.zeros(params.n, dtype=np.uint8)
             e[j] = 1
-            assert np.array_equal(extract_block(e, seed, params),
+            assert np.array_equal(hash_block(e, seed, params),
                                   matrix[:, j])
 
     def test_hand_worked_three_by_four(self):
@@ -79,13 +88,17 @@ class TestExtractBlock:
         x = bits("1011")
         expected = extract_block_dense(x, seed, params)
         assert list(expected) == [0, 1, 1]
-        assert np.array_equal(extract_block(x, seed, params), expected)
+        assert np.array_equal(hash_block(x, seed, params), expected)
 
     def test_length_mismatch(self):
+        # three bits are no 4-bit block: the dense oracle rejects them,
+        # and the stream drops them as a partial block
         params = ExtractorParams(m=3, n=4)
         seed = generate_test_seed(params, 6)
         with pytest.raises(ParameterError):
-            extract_block(bits("101"), seed, params)
+            extract_block_dense(bits("101"), seed, params)
+        assert extract_stream(bits("101"), seed, params,
+                              bits_per_sample=1).size == 0
 
     def test_gf2_linearity(self):
         params = ExtractorParams()
@@ -93,8 +106,8 @@ class TestExtractBlock:
         rng = np.random.default_rng(8)
         x = rng.integers(0, 2, size=(200, params.n), dtype=np.uint8)
         y = rng.integers(0, 2, size=(200, params.n), dtype=np.uint8)
-        left = extract_blocks(x ^ y, seed, params)
-        right = extract_blocks(x, seed, params) ^ extract_blocks(y, seed, params)
+        left = hash_bit_rows(x ^ y, seed, params)
+        right = hash_bit_rows(x, seed, params) ^ hash_bit_rows(y, seed, params)
         assert np.array_equal(left, right)
 
     def test_fast_path_matches_dense_small_sizes(self):
@@ -106,7 +119,7 @@ class TestExtractBlock:
             params = ExtractorParams(m=m, n=n)
             seed = generate_test_seed(params, 1000 * m + n)
             x = rng.integers(0, 2, size=n, dtype=np.uint8)
-            assert np.array_equal(extract_block(x, seed, params),
+            assert np.array_equal(hash_block(x, seed, params),
                                   extract_block_dense(x, seed, params))
 
     def test_fast_path_matches_dense_exhaustive_tiny(self):
@@ -119,7 +132,7 @@ class TestExtractBlock:
                 x = np.array([(x_value >> k) & 1 for k in range(3)],
                              dtype=np.uint8)
                 assert np.array_equal(
-                    extract_block(x, seed, params),
+                    hash_block(x, seed, params),
                     extract_block_dense(x, seed, params))
 
     def test_fast_path_matches_dense_full_size(self):
@@ -127,7 +140,7 @@ class TestExtractBlock:
         seed = generate_test_seed(params, 10)
         rng = np.random.default_rng(11)
         x = rng.integers(0, 2, size=(10, params.n), dtype=np.uint8)
-        fast = extract_blocks(x, seed, params)
+        fast = hash_bit_rows(x, seed, params)
         for k in range(10):
             assert np.array_equal(fast[k],
                                   extract_block_dense(x[k], seed, params))
@@ -259,8 +272,8 @@ class TestPackedStream:
     def test_multi_chunk_under_fast_thread_switching(self):
         # each call's caller and helper share its chunk iterator; three
         # concurrent calls (six threads on fewer cores) switching every
-        # microsecond still each equal one serial pass of the kernel, so
-        # no chunk is skipped, hashed twice or written to another's slice
+        # microsecond still each equal the dense oracle's bytes, so no
+        # chunk is skipped, hashed twice or written to another's slice
         params = ExtractorParams(m=40, n=96)
         seed = generate_test_seed(params, 37)
         rng = np.random.default_rng(38)
@@ -268,9 +281,7 @@ class TestPackedStream:
                                ).astype(np.int16)
         n_blocks = samples.size * 12 // params.n
         assert n_blocks > 3 * _CHUNK_BLOCKS
-        blocks = samples_to_bits(samples)[:n_blocks * params.n]
-        serial = pack_bits(extract_blocks(blocks.reshape(n_blocks, params.n),
-                                          seed, params))
+        serial = dense_stream(samples, seed, params)
         outputs = {}
 
         def run(k):
@@ -309,9 +320,9 @@ class TestPackedStream:
         packed = extract_stream(samples, seed, params)
         assert counts == [(before, threading.current_thread())]
         assert threading.active_count() == before
-        assert packed.tobytes() == pack_bits(
-            extract_blocks(samples_to_bits(samples).reshape(-1, params.n),
-                           seed, params))
+        assert packed.tobytes() == extract_stream(
+            samples_to_bits(samples), seed, params, bits_per_sample=1
+        ).tobytes()
 
     def test_multi_chunk_uses_one_helper(self, monkeypatch):
         # control for the test above: past one chunk the helper does run
