@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 configuration/parameter errors, 3 data errors
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -32,7 +33,10 @@ from .pipeline import (LoopSummary, estimate_entropy, extract_measured,
 from .toeplitz import save_seed
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and reused by every `main`
+    call: one build is a few hundred objects in reference cycles."""
     parser = argparse.ArgumentParser(
         prog="vacqrng",
         description="Simulator and toolkit for a bias-free "
@@ -166,7 +170,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (ConfigError, ParameterError) as exc:

@@ -232,15 +232,14 @@ def suite_on_packed(packed: np.ndarray, n_bits: int,
     """Statistical suite on a packed stream of `n_bits` bits.
 
     Runs as many sequences as the stream holds, up to
-    `config.n_sequences`, unpacking only their bits; None if it holds
-    not one.
+    `config.n_sequences`; None if it holds not one.
     """
     n_seq = min(config.n_sequences, n_bits // config.sequence_length)
     if n_seq < 1:
         return None
-    bits = np.unpackbits(packed, count=n_seq * config.sequence_length,
-                         bitorder="little")
-    return run_suite(bits, config.sequence_length, n_seq, beta=config.beta)
+    # n_sequences by keyword: the benchmark's tracer counts it from there.
+    return run_suite(packed, n_bits, config.sequence_length,
+                     n_sequences=n_seq, beta=config.beta)
 
 
 def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:

@@ -8,6 +8,17 @@ in the three-sigma band around 1 - beta:
 
     (1-beta) +/- 3*sqrt((1-beta)*beta/N)
 
+Input is the packed stream of `extracted.bin`: the first bit in the least
+significant bit of the first byte, plus its length in bits.  Every
+statistic is an integer counted from the packed words, never from one bit
+per byte: each sequence is moved to bit 0 of zeroed uint64 words
+(whatever its bit offset) with the bits past its end cleared, and the
+counts are popcounts of those words, of their XOR with the stream one bit
+on, and of ANDs of the stream shifted by 0..m bits; the random-walk
+excursion comes from per-byte tables.  The p-values use only the
+standard library: `math.erfc`, and the regularized upper incomplete gamma
+function of Numerical Recipes (series and continued fraction).
+
 The remaining tests of the full standard suite are delegated to external
 tools via the packed-bitstream export.
 """
@@ -16,10 +27,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DataError, ParameterError
 
@@ -62,13 +73,34 @@ class SuiteVerdict:
         return "\n".join(lines)
 
 
-def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ParameterError("bit sequence must be one-dimensional")
-    if arr.size and arr.max() > 1:
-        raise ParameterError("bits must be 0/1")
+def _as_packed(packed, n_bits: int) -> np.ndarray:
+    arr = np.asarray(packed)
+    if arr.dtype != np.uint8 or arr.ndim != 1:
+        raise ParameterError("packed stream must be a one-dimensional "
+                             "uint8 array")
+    if not 0 <= n_bits <= 8 * arr.size:
+        raise ParameterError(
+            f"{n_bits} bits do not fit in {arr.size} packed bytes")
     return arr
+
+
+def _words(packed: np.ndarray, start: int, n_bits: int) -> np.ndarray:
+    """Bits [start, start + n_bits) of a packed stream, moved to bit 0 of
+    n_bits // 64 + 1 little-endian uint64 words, zero past the last bit."""
+    n_words = n_bits // 64 + 1
+    first, shift = divmod(start, 8)
+    buf = np.zeros(8 * n_words + 8, dtype=np.uint8)
+    src = packed[first:(start + n_bits + 7) // 8]
+    buf[:src.size] = src
+    w = buf.view("<u8")
+    # Two shifts for the high word, so that shift = 0 needs no branch.
+    words = (w[:-1] >> shift) | ((w[1:] << 1) << (63 - shift))
+    words[-1] &= (np.uint64(1) << np.uint64(n_bits % 64)) - np.uint64(1)
+    return words
+
+
+def _ones(words: np.ndarray) -> int:
+    return int(np.bitwise_count(words).sum())
 
 
 def _outcome(name: str, p_value: float, beta: float) -> TestOutcome:
@@ -76,98 +108,230 @@ def _outcome(name: str, p_value: float, beta: float) -> TestOutcome:
     return TestOutcome(test_name=name, p_value=p, passed=p > beta)
 
 
-def monobit_test(bits, beta: float = DEFAULT_BETA) -> TestOutcome:
+def _ndtr(x: float) -> float:
+    """Standard normal distribution function."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+_MAX_TERMS = 100_000
+
+
+def _gammaincc(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma function Q(a, x), a > 0.
+
+    Below x = a + 1 the series for P = 1 - Q, above it Lentz's continued
+    fraction for Q (Press et al., Numerical Recipes, 3rd ed., 2007, 6.2).
+    """
+    if x <= 0.0:
+        return 1.0
+    prefactor = math.exp(a * math.log(x) - x - math.lgamma(a))
+    eps, tiny = sys.float_info.epsilon, sys.float_info.min
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for k in range(1, _MAX_TERMS):
+            term *= x / (a + k)
+            total += term
+            if abs(term) < abs(total) * eps:
+                return 1.0 - total * prefactor
+    else:
+        b = x + 1.0 - a
+        c, d = 1.0 / tiny, 1.0 / b
+        h = d
+        for k in range(1, _MAX_TERMS):
+            an = -k * (k - a)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = b + an / c
+            c = c if abs(c) > tiny else tiny
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) <= eps:
+                return prefactor * h
+    raise ParameterError(f"incomplete gamma Q({a}, {x}) did not converge")
+
+
+def monobit_test(packed, n_bits: int,
+                 beta: float = DEFAULT_BETA) -> TestOutcome:
     """Frequency test: erfc(|sum of +/-1| / sqrt(2n))."""
-    bits = _as_bits(bits)
-    n = bits.size
+    packed = _as_packed(packed, n_bits)
+    n = n_bits
     if n < 100:
         raise ParameterError(f"monobit test needs >= 100 bits, got {n}")
-    s = 2 * int(bits.sum()) - n
-    p = special.erfc(abs(s) / math.sqrt(2.0 * n))
+    s = 2 * _ones(_words(packed, 0, n)) - n
+    p = math.erfc(abs(s) / math.sqrt(2.0 * n))
     return _outcome("monobit", p, beta)
 
 
-def block_frequency_test(bits, block_size: int = 128,
+def _block_counts(words: np.ndarray, block_size: int,
+                  n_blocks: int) -> np.ndarray:
+    """Ones in each of the first n_blocks block_size-bit blocks: the ones
+    before each block edge, from a running popcount over whole words plus
+    the popcount of the edge word's low bits."""
+    edges = np.arange(n_blocks + 1, dtype=np.int64) * block_size
+    at = edges >> 6
+    low = (np.uint64(1) << (edges & 63).astype(np.uint64)) - np.uint64(1)
+    before = np.concatenate(
+        ([0], np.cumsum(np.bitwise_count(words), dtype=np.int64)))
+    return np.diff(before[at] + np.bitwise_count(words[at] & low))
+
+
+def block_frequency_test(packed, n_bits: int, block_size: int = 128,
                          beta: float = DEFAULT_BETA) -> TestOutcome:
     """Proportion of ones within fixed blocks, chi-square against 1/2."""
-    bits = _as_bits(bits)
+    packed = _as_packed(packed, n_bits)
     if block_size < 1:
         raise ParameterError("block_size must be >= 1")
-    n_blocks = bits.size // block_size
+    n_blocks = n_bits // block_size
     if n_blocks < 1:
         raise ParameterError(
-            f"need at least one {block_size}-bit block, got {bits.size} bits")
-    pi = bits[:n_blocks * block_size].reshape(n_blocks, block_size).mean(axis=1)
+            f"need at least one {block_size}-bit block, got {n_bits} bits")
+    counts = _block_counts(_words(packed, 0, n_bits), block_size, n_blocks)
+    pi = counts / block_size
     chi2 = 4.0 * block_size * float(np.sum((pi - 0.5) ** 2))
-    p = special.gammaincc(n_blocks / 2.0, chi2 / 2.0)
+    p = _gammaincc(n_blocks / 2.0, chi2 / 2.0)
     return _outcome("block_frequency", p, beta)
 
 
-def runs_test(bits, beta: float = DEFAULT_BETA) -> TestOutcome:
+def _runs(packed: np.ndarray, n_bits: int) -> int:
+    """Number of runs: one, plus one wherever a bit differs from the next
+    (the popcount of the stream XOR the stream one bit on)."""
+    return 1 + _ones(_words(packed, 0, n_bits - 1)
+                     ^ _words(packed, 1, n_bits - 1))
+
+
+def runs_test(packed, n_bits: int,
+              beta: float = DEFAULT_BETA) -> TestOutcome:
     """Total number of runs against its expectation for the observed bias.
 
     Applies the standard frequency pre-test: a bias beyond 2/sqrt(n) makes
     the runs statistic meaningless and scores p = 0.
     """
-    bits = _as_bits(bits)
-    n = bits.size
+    packed = _as_packed(packed, n_bits)
+    n = n_bits
     if n < 2:
         raise ParameterError("runs test needs at least 2 bits")
-    pi = float(bits.mean())
+    pi = _ones(_words(packed, 0, n)) / n
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n) or pi in (0.0, 1.0):
         return _outcome("runs", 0.0, beta)
-    v = 1 + int(np.count_nonzero(np.diff(bits)))
+    v = _runs(packed, n)
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
-    p = special.erfc(num / den)
+    p = math.erfc(num / den)
     return _outcome("runs", p, beta)
 
 
-def cumulative_sums_test(bits, mode: str = "forward",
+def _byte_walks() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per byte value: the walk of its 8 steps 2*bit - 1 (LSB first), and
+    the walk's end, highest and lowest point (0, the start, included)."""
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    walk = np.cumsum(2 * bits - 1, axis=1).astype(np.int8)
+    return (walk, walk[:, -1], np.maximum(walk.max(axis=1), 0),
+            np.minimum(walk.min(axis=1), 0))
+
+
+_BYTE_WALK, _BYTE_END, _BYTE_HIGH, _BYTE_LOW = _byte_walks()
+
+
+def _max_excursion(packed: np.ndarray, n_bits: int, mode: str) -> int:
+    """max_k |S_k| of the walk S_k = sum of the first k steps 2*bit - 1,
+    run over the bits in order ("forward") or from the last ("backward").
+
+    The forward walk's end S_n, highest point H and lowest point L (S_0 = 0
+    included) give both: the backward walk visits S_n - S_j, so its
+    excursion is max(S_n - L, H - S_n).  Each whole byte's walk starts at
+    the running sum of the byte ends and reaches its extremes by table;
+    the last n_bits % 8 steps are walked out.
+    """
+    whole, rest = divmod(n_bits, 8)
+    data = _words(packed, 0, n_bits).view(np.uint8)
+    body = data[:whole]
+    starts = np.concatenate(
+        ([0], np.cumsum(np.take(_BYTE_END, body), dtype=np.int64)))
+    tail = starts[-1] + _BYTE_WALK[data[whole], :rest]
+    end = int(tail[-1]) if rest else int(starts[-1])
+    high = max(int((starts[:-1] + np.take(_BYTE_HIGH, body)).max(initial=0)),
+               int(tail.max(initial=0)))
+    low = min(int((starts[:-1] + np.take(_BYTE_LOW, body)).min(initial=0)),
+              int(tail.min(initial=0)))
+    if mode == "backward":
+        return max(end - low, high - end)
+    return max(high, -low)
+
+
+def cumulative_sums_test(packed, n_bits: int, mode: str = "forward",
                          beta: float = DEFAULT_BETA) -> TestOutcome:
     """Maximum excursion of the +/-1 random walk (forward or backward)."""
-    bits = _as_bits(bits)
-    n = bits.size
+    packed = _as_packed(packed, n_bits)
+    n = n_bits
     if n < 2:
         raise ParameterError("cumulative sums test needs at least 2 bits")
     if mode not in ("forward", "backward"):
         raise ParameterError(f"mode must be 'forward' or 'backward', not {mode!r}")
-    z = _max_excursion(bits[::-1] if mode == "backward" else bits)
+    z = _max_excursion(packed, n, mode)
     if z == 0:
         return _outcome("cumulative_sums", 1.0, beta)
     sqrt_n = math.sqrt(n)
 
-    k1 = np.arange(math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1)
-    term1 = np.sum(special.ndtr((4 * k1 + 1) * z / sqrt_n)
-                   - special.ndtr((4 * k1 - 1) * z / sqrt_n))
-    k2 = np.arange(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1)
-    term2 = np.sum(special.ndtr((4 * k2 + 3) * z / sqrt_n)
-                   - special.ndtr((4 * k2 + 1) * z / sqrt_n))
+    def cdf(k: int) -> float:
+        return _ndtr(k * z / sqrt_n)
+
+    term1 = sum(cdf(4 * k + 1) - cdf(4 * k - 1) for k in range(
+        math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1))
+    term2 = sum(cdf(4 * k + 3) - cdf(4 * k + 1) for k in range(
+        math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1))
     p = 1.0 - term1 + term2
     return _outcome("cumulative_sums", p, beta)
 
 
-def _max_excursion(bits: np.ndarray) -> int:
-    """max_k |S_k| of the walk S_k = sum of the first k steps 2*bit - 1.
+def _pattern_counts(packed: np.ndarray, n_bits: int, m: int) -> np.ndarray:
+    """Counts of the 2**(m+1) circular (m+1)-bit patterns, indexed with
+    the window's first bit as the most significant.
 
-    Steps in int8 and partial sums in int32 (int64 only from 2**31 bits
-    on, where |S_k| could overflow) give the same integer as an int64
-    walk at a fraction of its memory traffic.
+    Bit i of window stream t is sequence bit (i + t) mod n, read from the
+    sequence followed by itself.  A pattern's count is the popcount of
+    the AND over t of window stream t or its complement, as the pattern's
+    bit t says; each level of the split reuses the AND of the levels
+    above it.
     """
-    steps = bits.view(np.int8) * 2 - 1
-    walk = np.cumsum(steps, dtype=np.int32 if bits.size < 2**31 else np.int64)
-    return int(max(walk.max(), -walk.min()))
+    n = n_bits
+    pad = -n % 8
+    seq = _words(packed, 0, n).view(np.uint8)
+    # The sequence moved up by pad bits, so that it ends on a byte, then
+    # the sequence again: bit pad + i is sequence bit i mod n.
+    moved = _words(np.concatenate((np.zeros(1, np.uint8), seq)), 8 - pad,
+                   n + pad).view(np.uint8)
+    wrapped = np.concatenate((moved[:(n + pad) // 8], seq))
+    windows = [_words(wrapped, pad + t, n) for t in range(m + 1)]
+    everywhere = _words(np.full(n // 8 + 1, 0xFF, dtype=np.uint8), 0, n)
+    counts: list[int] = []
+    _split_counts(everywhere, windows, counts)
+    return np.array(counts, dtype=np.int64)
 
 
-def approximate_entropy_test(bits, pattern_length: int = 2,
+def _split_counts(matches: np.ndarray, windows: list[np.ndarray],
+                  counts: list[int]) -> None:
+    """Append the popcounts of `matches` ANDed with every pattern over
+    `windows`, 0 before 1 in each window.  (A module function, not a
+    recursive closure: that would be a reference cycle holding the
+    window streams until the cyclic collector ran.)"""
+    if not windows:
+        counts.append(_ones(matches))
+        return
+    ones = matches & windows[0]
+    _split_counts(matches ^ ones, windows[1:], counts)
+    _split_counts(ones, windows[1:], counts)
+
+
+def approximate_entropy_test(packed, n_bits: int, pattern_length: int = 2,
                              beta: float = DEFAULT_BETA) -> TestOutcome:
     """Compares frequencies of overlapping m- and (m+1)-bit patterns.
 
     Windows wrap around the end of the sequence, as the standard
     statistic requires.
     """
-    bits = _as_bits(bits)
-    n = bits.size
+    packed = _as_packed(packed, n_bits)
+    n = n_bits
     m = pattern_length
     if m < 1:
         raise ParameterError("pattern_length must be >= 1")
@@ -175,15 +339,9 @@ def approximate_entropy_test(bits, pattern_length: int = 2,
         raise ParameterError(
             f"approximate entropy needs more than m+1 = {m + 1} bits")
 
-    # Index of the circular (m+1)-bit window at every position, built once.
     # The m-bit window at a position is the prefix of the (m+1)-bit one, so
     # the m-bit counts are the sums of adjacent (m+1)-bit counts.
-    aug = np.concatenate([bits, bits[:m]])
-    idx = np.zeros(n, dtype=np.uint8 if m < 8 else np.int64)
-    for t in range(m + 1):
-        idx <<= 1
-        idx |= aug[t:t + n]
-    counts_long = np.bincount(idx, minlength=2 ** (m + 1))
+    counts_long = _pattern_counts(packed, n, m)
     counts = counts_long.reshape(-1, 2).sum(axis=1)
 
     def phi(c: np.ndarray) -> float:
@@ -192,7 +350,7 @@ def approximate_entropy_test(bits, pattern_length: int = 2,
 
     apen = phi(counts) - phi(counts_long)
     chi2 = max(2.0 * n * (math.log(2.0) - apen), 0.0)
-    p = special.gammaincc(2 ** (m - 1), chi2 / 2.0)
+    p = _gammaincc(2 ** (m - 1), chi2 / 2.0)
     return _outcome("approximate_entropy", p, beta)
 
 
@@ -216,21 +374,22 @@ def pass_proportion_interval(beta: float, n_sequences: int) -> tuple[float, floa
     return center - half, center + half
 
 
-def run_suite(bitstream, sequence_length: int, n_sequences: int,
+def run_suite(packed, n_bits: int, sequence_length: int, n_sequences: int,
               beta: float = DEFAULT_BETA) -> SuiteVerdict:
-    """Split a stream into sequences, run every test, judge proportions."""
-    bits = _as_bits(bitstream)
+    """Split a packed stream of n_bits bits into sequences, run every
+    test, judge proportions."""
+    packed = _as_packed(packed, n_bits)
     needed = sequence_length * n_sequences
-    if bits.size < needed:
+    if n_bits < needed:
         raise DataError(
-            f"stream has {bits.size} bits; need {needed} for "
+            f"stream has {n_bits} bits; need {needed} for "
             f"{n_sequences} x {sequence_length}")
     lo, hi = pass_proportion_interval(beta, n_sequences)
     passes = {name: 0 for name in ALL_TESTS}
     for i in range(n_sequences):
-        seq = bits[i * sequence_length:(i + 1) * sequence_length]
+        seq = _words(packed, i * sequence_length, sequence_length)
         for name, test in ALL_TESTS.items():
-            if test(seq, beta=beta).passed:
+            if test(seq.view(np.uint8), sequence_length, beta=beta).passed:
                 passes[name] += 1
     proportions = {name: count / n_sequences for name, count in passes.items()}
     overall = all(lo <= prop <= hi for prop in proportions.values())

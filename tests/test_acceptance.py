@@ -44,7 +44,7 @@ from tests.conftest import record_criterion
 from tests.loop_model import WINDOW_BLOCKS, judge_lock_in
 from tests.optics_reference import balance_phase, pd1_current
 from tests.test_controller import oracle_decide
-from tests.test_stattests import PI_100, bits
+from tests.test_stattests import PI_100, packed
 
 N_LOOP_BLOCKS = 11_300
 SPEC_WARMUP_BLOCKS = 500   # criterion 4's specified warm-up
@@ -59,13 +59,13 @@ def default_run():
 
 @pytest.fixture(scope="module")
 def extracted_hundred_meg(default_run):
-    """At least 1e8 extracted bits from the shared run."""
+    """At least 1e8 extracted bits from the shared run, packed, and their
+    count."""
     config, run = default_run
     centered = select_centered(config, run)
-    _, packed, _ = extract_measured(config, centered)
-    out = np.unpackbits(packed, bitorder="little")
-    assert out.size >= 100_000_000
-    return out
+    _, packed, n_bits = extract_measured(config, centered)
+    assert n_bits >= 100_000_000
+    return packed, n_bits
 
 
 def test_criterion_1_min_entropy_reproduction():
@@ -271,7 +271,7 @@ def test_criterion_8_statistical_quality(extracted_hundred_meg):
                    and abs(lo_exact - 0.9805607203664686) < 1e-12)
 
     lo_100 = pass_proportion_interval(0.01, 100)[0]
-    verdict = run_suite(extracted_hundred_meg, 1_000_000, 100, beta=0.01)
+    verdict = run_suite(*extracted_hundred_meg, 1_000_000, 100, beta=0.01)
     failing = {name: prop for name, prop in verdict.proportions.items()
                if prop < lo_100}
     elapsed = time.perf_counter() - start
@@ -288,17 +288,21 @@ def test_criterion_8_statistical_quality(extracted_hundred_meg):
 def test_criterion_9_throughput_report():
     params = ExtractorParams()
     n_blocks = 1024
+    bits_per_sample = 12
+    per_block = params.n // bits_per_sample      # 200 samples per block
     seed = generate_test_seed(params, 7)
-    blocks = np.random.default_rng(7).integers(0, 2, size=(n_blocks, params.n),
-                                               dtype=np.uint8)
-    # `extract_stream`, the path `all` runs, fed one bit per sample.
-    # Warm-up, so that first-touch page faults fall outside the timing.
-    extract_stream(blocks[:64].reshape(-1), seed, params, bits_per_sample=1)
+    samples = np.random.default_rng(7).integers(
+        -2048, 2048, size=n_blocks * per_block, dtype=np.int16)
+    # `extract_stream` as `all` runs it: 12-bit int16 samples.  Warm-up,
+    # so that first-touch page faults fall outside the timing.
+    extract_stream(samples[:64 * per_block], seed, params, bits_per_sample)
     start = time.perf_counter()
-    out = extract_stream(blocks.reshape(-1), seed, params, bits_per_sample=1)
+    out = extract_stream(samples, seed, params, bits_per_sample)
     fast_s = time.perf_counter() - start
+    first_block = ((samples[:per_block, None].astype(np.int64)
+                    >> np.arange(bits_per_sample)) & 1).astype(np.uint8)
     start = time.perf_counter()
-    extract_block_dense(blocks[0], seed, params)
+    extract_block_dense(first_block.reshape(-1), seed, params)
     dense_s = time.perf_counter() - start
 
     assert out.size == n_blocks * params.m // 8
@@ -314,15 +318,15 @@ def test_criterion_9_throughput_report():
 
 def test_criterion_10_reference_vector_conformance():
     checks = [
-        ("monobit", monobit_test(bits(PI_100)).p_value, 0.109599),
+        ("monobit", monobit_test(*packed(PI_100)).p_value, 0.109599),
         ("block_frequency",
-         block_frequency_test(bits("0110011010"), block_size=3).p_value,
+         block_frequency_test(*packed("0110011010"), block_size=3).p_value,
          0.801252),
-        ("runs", runs_test(bits("1001101011")).p_value, 0.147232),
+        ("runs", runs_test(*packed("1001101011")).p_value, 0.147232),
         ("cumulative_sums",
-         cumulative_sums_test(bits("1011010111")).p_value, 0.4116588),
+         cumulative_sums_test(*packed("1011010111")).p_value, 0.4116588),
         ("approximate_entropy",
-         approximate_entropy_test(bits("0100110101"),
+         approximate_entropy_test(*packed("0100110101"),
                                   pattern_length=3).p_value, 0.261961),
     ]
     deviations = {name: abs(got - want) for name, got, want in checks}

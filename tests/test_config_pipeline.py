@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import vacqrng
-from vacqrng import pipeline
+from vacqrng import cli, pipeline
 from vacqrng.cli import main
 from vacqrng.config import PipelineConfig, load_config, parse_config_text
 from vacqrng.controller import ControllerConfig, LoopRun
@@ -280,16 +280,18 @@ class TestPipeline:
         packed = np.frombuffer(pack_bits(bits), dtype=np.uint8)
         seen = []
 
-        def recording_suite(stream, *args, **kwargs):
-            seen.append((np.array(stream), args))
-            return run_suite(stream, *args, **kwargs)
+        def recording_suite(*args, **kwargs):
+            seen.append((args, kwargs))
+            return run_suite(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "run_suite", recording_suite)
         verdict = suite_on_packed(packed, bits.size, config)
-        assert verdict == run_suite(bits, 1_000, 2, beta=config.beta)
-        [(stream, args)] = seen
-        assert args == (1_000, 2)
-        assert np.array_equal(stream, bits[:2_000])
+        [(args, kwargs)] = seen
+        assert args[0] is packed and args[1:] == (bits.size, 1_000)
+        assert kwargs == {"n_sequences": 2, "beta": config.beta}
+        # the same verdict as from the first two sequences' bits alone
+        head = np.frombuffer(pack_bits(bits[:2_000]), dtype=np.uint8)
+        assert verdict == run_suite(head, 2_000, 1_000, 2, beta=config.beta)
         assert suite_on_packed(packed, 999, config) is None
 
     def test_select_centered_filters(self):
@@ -335,6 +337,27 @@ class TestCli:
         centered = np.frombuffer(
             (tmp_path / "sim" / "centered.i16").read_bytes(), dtype="<i2")
         assert centered.size == 50_000
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        parser = cli._parser()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples = 200000\nnoise_samples = 100000\n"
+                       "dac_init = 5182\n")
+        assert main(["simulate", "--blocks", "5", "--out",
+                     str(tmp_path / "a")]) == 0
+        assert main(["estimate", "--config", str(cfg), "--out",
+                     str(tmp_path / "b")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--seed", "seven"])
+        assert exc.value.code == 2
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "c")]) == 0
+        assert cli._parser() is parser
+        # no option of an earlier call carries over to a later one
+        assert (tmp_path / "a" / "centered.i16").stat().st_size == 10_000
+        assert (tmp_path / "b" / "entropy.json").exists()
+        assert (tmp_path / "c" / "centered.i16").stat().st_size == 400_000
+        assert "invalid int value: 'seven'" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -1,17 +1,26 @@
 """Statistical tests: published reference vectors, degenerate inputs,
-calibration, and the pass-proportion rule."""
+calibration, the pass-proportion rule, and the standard-library special
+functions against scipy."""
 
+import gc
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 
+import vacqrng
 from vacqrng.errors import DataError, ParameterError
-from vacqrng.stattests import (_max_excursion, approximate_entropy_test,
+from vacqrng.stattests import (_gammaincc, _max_excursion, _ndtr,
+                               approximate_entropy_test,
                                block_frequency_test, cumulative_sums_test,
                                monobit_test, pass_proportion_interval,
                                run_suite, runs_test)
+from tests.stat_reference import excursion, pack
 
 # First 100 binary digits of pi (integer part included), the standard
 # suite's worked long example; 42 ones, 52 runs.
@@ -23,6 +32,11 @@ def bits(s: str) -> np.ndarray:
     return np.array([int(c) for c in s], dtype=np.uint8)
 
 
+def packed(s: str) -> tuple[np.ndarray, int]:
+    """A string of 0/1 digits as (packed bytes, bit count)."""
+    return pack(bits(s))
+
+
 def prng_bits(n: int, seed: int = 1) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, 2, size=n, dtype=np.uint8)
 
@@ -32,66 +46,67 @@ class TestReferenceVectors:
 
     def test_monobit_pi_digits(self):
         assert bits(PI_100).sum() == 42
-        out = monobit_test(bits(PI_100))
+        out = monobit_test(*packed(PI_100))
         assert out.p_value == pytest.approx(0.109599, abs=1e-4)
 
     def test_block_frequency_short_example(self):
-        out = block_frequency_test(bits("0110011010"), block_size=3)
+        out = block_frequency_test(*packed("0110011010"), block_size=3)
         assert out.p_value == pytest.approx(0.801252, abs=1e-4)
 
     def test_block_frequency_pi_digits(self):
-        out = block_frequency_test(bits(PI_100), block_size=10)
+        out = block_frequency_test(*packed(PI_100), block_size=10)
         assert out.p_value == pytest.approx(0.706438, abs=1e-4)
 
     def test_runs_short_example(self):
-        out = runs_test(bits("1001101011"))
+        out = runs_test(*packed("1001101011"))
         assert out.p_value == pytest.approx(0.147232, abs=1e-4)
 
     def test_runs_pi_digits(self):
-        out = runs_test(bits(PI_100))
+        out = runs_test(*packed(PI_100))
         assert out.p_value == pytest.approx(0.500798, abs=1e-4)
 
     def test_cumulative_sums_short_example(self):
-        out = cumulative_sums_test(bits("1011010111"))
+        out = cumulative_sums_test(*packed("1011010111"))
         assert out.p_value == pytest.approx(0.4116588, abs=1e-4)
 
     def test_cumulative_sums_pi_digits_both_modes(self):
-        fwd = cumulative_sums_test(bits(PI_100), mode="forward")
+        fwd = cumulative_sums_test(*packed(PI_100), mode="forward")
         assert fwd.p_value == pytest.approx(0.219194, abs=1e-4)
-        bwd = cumulative_sums_test(bits(PI_100), mode="backward")
+        bwd = cumulative_sums_test(*packed(PI_100), mode="backward")
         assert bwd.p_value == pytest.approx(0.114866, abs=1e-4)
 
     def test_approximate_entropy_short_example(self):
-        out = approximate_entropy_test(bits("0100110101"), pattern_length=3)
+        out = approximate_entropy_test(*packed("0100110101"),
+                                       pattern_length=3)
         assert out.p_value == pytest.approx(0.261961, abs=1e-4)
 
     def test_approximate_entropy_pi_digits(self):
-        out = approximate_entropy_test(bits(PI_100), pattern_length=2)
+        out = approximate_entropy_test(*packed(PI_100), pattern_length=2)
         assert out.p_value == pytest.approx(0.235301, abs=1e-4)
 
 
 class TestDegenerateInputs:
     def test_monobit_alternating_is_perfect(self):
-        assert monobit_test(np.tile([0, 1], 500_000)).p_value == 1.0
+        assert monobit_test(*pack(np.tile([0, 1], 500_000))).p_value == 1.0
 
     def test_monobit_constant_fails(self):
-        out = monobit_test(np.ones(1_000_000, dtype=np.uint8))
+        out = monobit_test(*pack(np.ones(1_000_000)))
         assert out.p_value == pytest.approx(0.0, abs=1e-12)
         assert not out.passed
 
     def test_block_frequency_constant_fails(self):
-        out = block_frequency_test(np.ones(10_000, dtype=np.uint8))
+        out = block_frequency_test(*pack(np.ones(10_000)))
         assert out.p_value == pytest.approx(0.0, abs=1e-12)
 
     def test_runs_constant_fails_pretest(self):
-        assert runs_test(np.zeros(10_000, dtype=np.uint8)).p_value == 0.0
+        assert runs_test(*pack(np.zeros(10_000))).p_value == 0.0
 
     def test_cumulative_sums_constant_fails(self):
-        out = cumulative_sums_test(np.ones(10_000, dtype=np.uint8))
+        out = cumulative_sums_test(*pack(np.ones(10_000)))
         assert out.p_value == pytest.approx(0.0, abs=1e-12)
 
     def test_approximate_entropy_constant_fails(self):
-        out = approximate_entropy_test(np.zeros(10_000, dtype=np.uint8))
+        out = approximate_entropy_test(*pack(np.zeros(10_000)))
         assert out.p_value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -111,8 +126,7 @@ def apen_p_two_indices(bits: np.ndarray, m: int) -> float:
 
     apen = phi(m) - phi(m + 1)
     chi2 = max(2.0 * n * (math.log(2.0) - apen), 0.0)
-    return float(min(max(special.gammaincc(2 ** (m - 1), chi2 / 2.0), 0.0),
-                     1.0))
+    return float(min(max(_gammaincc(2 ** (m - 1), chi2 / 2.0), 0.0), 1.0))
 
 
 class TestApproximateEntropyDerivedCounts:
@@ -126,90 +140,97 @@ class TestApproximateEntropyDerivedCounts:
         for data in (prng_bits(20_011, seed=m),
                      (rng.random(5_003) < 0.3).astype(np.uint8),
                      bits(PI_100)):
-            got = approximate_entropy_test(data, pattern_length=m).p_value
+            got = approximate_entropy_test(*pack(data),
+                                           pattern_length=m).p_value
             assert got == apen_p_two_indices(data, m)
 
 
-def reference_excursion(data: np.ndarray) -> int:
-    """max |S_k| of the +/-1 walk, summed in int64."""
-    return int(np.max(np.abs(np.cumsum(2 * data.astype(np.int64) - 1))))
-
-
 class TestCumulativeSumsWalk:
-    """The int8-step, int32-sum walk gives the int64 walk's z."""
+    """The byte-table walk over the packed stream gives the int64 walk's
+    z, forward and backward."""
 
     def test_random_sequences_both_directions(self):
         rng = np.random.default_rng(50)
         for k in range(50):
             n = int(rng.integers(2, 200_000))
             data = (rng.random(n) < rng.uniform(0.3, 0.7)).astype(np.uint8)
-            assert _max_excursion(data) == reference_excursion(data)
-            assert (_max_excursion(data[::-1])
-                    == reference_excursion(data[::-1]))
+            for mode in ("forward", "backward"):
+                assert (_max_excursion(*pack(data), mode)
+                        == excursion(data, mode))
 
     @pytest.mark.parametrize("value", [0, 1])
     def test_constant_sequences_reach_n(self, value):
         data = np.full(300_007, value, dtype=np.uint8)
-        for walk in (data, data[::-1]):
-            assert _max_excursion(walk) == data.size
-            assert reference_excursion(walk) == data.size
+        for mode in ("forward", "backward"):
+            assert _max_excursion(*pack(data), mode) == data.size
+            assert excursion(data, mode) == data.size
 
 
 class TestRandomInputSanity:
     def test_all_tests_pass_prng_stream(self):
-        data = prng_bits(100_000, seed=31)
+        data = pack(prng_bits(100_000, seed=31))
         for test in (monobit_test, block_frequency_test, runs_test,
                      cumulative_sums_test, approximate_entropy_test):
-            out = test(data)
+            out = test(*data)
             assert out.p_value > 0.01
             assert out.passed
 
     def test_p_values_in_unit_interval(self):
         for seed in range(30):
-            data = prng_bits(2048, seed=seed)
+            data = pack(prng_bits(2048, seed=seed))
             for test in (monobit_test, block_frequency_test, runs_test,
                          cumulative_sums_test, approximate_entropy_test):
-                assert 0.0 <= test(data).p_value <= 1.0
+                assert 0.0 <= test(*data).p_value <= 1.0
 
 
 class TestInvariances:
     def test_monobit_complement_invariance(self):
         for seed in range(20):
             data = prng_bits(5000, seed=seed)
-            assert monobit_test(data).p_value == pytest.approx(
-                monobit_test(1 - data).p_value, rel=1e-12)
+            assert monobit_test(*pack(data)).p_value == pytest.approx(
+                monobit_test(*pack(1 - data)).p_value, rel=1e-12)
 
     def test_rejection_rate_calibrated(self):
         # at beta = 0.01 a healthy test rejects ~1% of true-random input
         rng = np.random.default_rng(424242)
         n_seq, length = 10_000, 1024
-        data = rng.integers(0, 2, size=(n_seq, length), dtype=np.uint8)
+        data = np.packbits(rng.integers(0, 2, size=(n_seq, length),
+                                        dtype=np.uint8),
+                           axis=1, bitorder="little")
         tests = {"monobit": monobit_test, "block_frequency":
                  block_frequency_test, "runs": runs_test,
                  "cumulative_sums": cumulative_sums_test,
                  "approximate_entropy": approximate_entropy_test}
         for name, test in tests.items():
-            fails = sum(not test(row).passed for row in data)
+            fails = sum(not test(row, length).passed for row in data)
             assert 0.005 <= fails / n_seq <= 0.015, name
 
 
 class TestPreconditions:
     def test_monobit_needs_100_bits(self):
         with pytest.raises(ParameterError):
-            monobit_test(np.ones(99, dtype=np.uint8))
+            monobit_test(*pack(np.ones(99)))
 
     def test_block_frequency_needs_one_block(self):
         with pytest.raises(ParameterError):
-            block_frequency_test(np.ones(100, dtype=np.uint8),
-                                 block_size=128)
+            block_frequency_test(*pack(np.ones(100)), block_size=128)
 
     def test_cusum_mode_validated(self):
         with pytest.raises(ParameterError):
-            cumulative_sums_test(prng_bits(100), mode="sideways")
+            cumulative_sums_test(*pack(prng_bits(100)), mode="sideways")
 
     def test_non_binary_rejected(self):
+        # integers that are not bytes are no packed stream
         with pytest.raises(ParameterError):
-            monobit_test(np.array([0, 1, 2] * 100))
+            monobit_test(np.array([0, 1, 2] * 100), 300)
+
+    def test_bit_count_must_fit_bytes(self):
+        data, n = pack(prng_bits(200))
+        for count in (-1, n + 57):
+            with pytest.raises(ParameterError):
+                monobit_test(data, count)
+        with pytest.raises(ParameterError):
+            run_suite(data, n + 57, sequence_length=100, n_sequences=2)
 
 
 class TestPassProportionInterval:
@@ -241,7 +262,7 @@ class TestPassProportionInterval:
 
 class TestRunSuite:
     def test_prng_stream_passes(self):
-        verdict = run_suite(prng_bits(2_000_000, seed=5),
+        verdict = run_suite(*pack(prng_bits(2_000_000, seed=5)),
                             sequence_length=100_000, n_sequences=20)
         assert verdict.overall_pass
         lo, hi = verdict.interval_lo, verdict.interval_hi
@@ -249,18 +270,19 @@ class TestRunSuite:
             assert lo <= prop <= hi
 
     def test_all_zero_stream_fails(self):
-        verdict = run_suite(np.zeros(1_000_000, dtype=np.uint8),
+        verdict = run_suite(*pack(np.zeros(1_000_000)),
                             sequence_length=100_000, n_sequences=10)
         assert not verdict.overall_pass
         assert all(p == 0.0 for p in verdict.proportions.values())
 
     def test_insufficient_data(self):
         with pytest.raises(DataError):
-            run_suite(prng_bits(1000), sequence_length=1000, n_sequences=2)
+            run_suite(*pack(prng_bits(1000)), sequence_length=1000,
+                      n_sequences=2)
 
     def test_verdict_serializes_and_tabulates(self):
         import json
-        verdict = run_suite(prng_bits(500_000, seed=6),
+        verdict = run_suite(*pack(prng_bits(500_000, seed=6)),
                             sequence_length=100_000, n_sequences=5)
         payload = json.loads(verdict.to_json())
         assert set(payload["proportions"]) == {
@@ -268,3 +290,78 @@ class TestRunSuite:
             "approximate_entropy"}
         table = verdict.table()
         assert "monobit" in table and "acceptance band" in table
+
+
+def assert_p_close(got: float, want: float) -> None:
+    """1e-10 relative where p > 1e-6, 1e-12 absolute below."""
+    if want > 1e-6:
+        assert abs(got - want) <= 1e-10 * want, (got, want)
+    else:
+        assert abs(got - want) <= 1e-12, (got, want)
+
+
+class TestSpecialFunctions:
+    """The standard-library p-value functions against scipy over the
+    suite's argument ranges."""
+
+    @pytest.mark.parametrize("a", [0.5, 1, 1.5, 2, 4, 3906, 3906.5])
+    def test_gammaincc(self, a):
+        # x spread around a: both branches, the switch at a + 1, and many
+        # standard deviations (sqrt(a)) on either side
+        spread = np.concatenate([np.linspace(-12, 12, 97),
+                                 [-1, -1e-9, 0, 1e-9, 1]])
+        xs = a + 1 + spread * math.sqrt(a)
+        xs = np.concatenate([xs[xs > 0], [1e-12, 1e-3, a / 10, 3 * a,
+                                          10 * a + 50]])
+        for x in xs:
+            assert_p_close(_gammaincc(a, float(x)),
+                           float(special.gammaincc(a, x)))
+        assert _gammaincc(a, 0.0) == 1.0
+
+    def test_erfc(self):
+        # monobit and runs arguments: |s| / sqrt(2n) and the runs ratio
+        for x in np.concatenate([np.linspace(0, 6, 601), [7.5, 9.0]]):
+            assert_p_close(math.erfc(x), float(special.erfc(x)))
+
+    def test_ndtr_at_cumulative_sums_arguments(self):
+        # (4k +/- 1) z / sqrt(n) and (4k + 3) z / sqrt(n) over every k the
+        # test sums, for excursions from tiny to the whole sequence
+        for n, z in [(10, 3), (100, 16), (100_000, 1),
+                     (1_000_000, 1_200), (1_000_000, 5_000),
+                     (1_000_000, 1_000_000)]:
+            ks = np.arange(math.floor((-n / z - 3) / 4),
+                           math.floor((n / z - 1) / 4) + 1)
+            xs = np.concatenate([(4 * ks + j) * z / math.sqrt(n)
+                                 for j in (-1, 1, 3)])
+            got = np.array([_ndtr(float(x)) for x in xs])
+            want = special.ndtr(xs)
+            # within two ulps of 1 everywhere, and relatively close
+            assert np.abs(got - want).max() <= 4.5e-16
+            for g, w in zip(got, want):
+                assert_p_close(g, w)
+
+
+class TestNoGarbage:
+    def test_suite_leaves_no_reference_cycles(self):
+        # a cycle would hold the suite's word arrays until the cyclic
+        # collector ran, and repeated runs would retain heap between them
+        data = pack(prng_bits(20_000, seed=8))
+        gc.collect()
+        gc.disable()
+        try:
+            run_suite(*data, sequence_length=10_000, n_sequences=2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestNoScipyAtRuntime:
+    def test_import_leaves_scipy_out(self):
+        code = ("import sys, vacqrng.cli; "
+                "print('scipy' in sys.modules, 'vacqrng.stattests' in "
+                "sys.modules)")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(vacqrng.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == ["False", "True"]
