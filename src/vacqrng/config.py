@@ -14,18 +14,18 @@ the LO-off chain seed, the extractor test-seed, and a spare.
 from __future__ import annotations
 
 import hashlib
-import math
 import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .controller import ControllerConfig
-from .entropy import block_budget
+from .entropy import block_budget, min_entropy
 from .errors import ConfigError, NoExtractableEntropyError, ParameterError
 from .optics import DeviceParams
 from .signal_chain import (SIGMA_E_CALIBRATED, SIGMA_VAC_CALIBRATED,
                            AdcSpec, DacSpec, SignalChainState)
+from .stattests import MIN_SEQUENCE_LENGTH
 from .toeplitz import ExtractorParams
 
 
@@ -126,17 +126,15 @@ class PipelineConfig:
     def expected_h_min(self) -> float:
         """Min-entropy implied by the configured noise levels.
 
-        Converts the analog sigmas to ADC counts and adds the quantizer's
-        1/12 LSB^2 to both variances, mirroring what a measured run
-        reports.
+        Converts the quantum noise at p_lo and the electronic noise to ADC
+        counts and adds the quantizer's 1/12 LSB^2 to both variances,
+        mirroring what a measured run reports.
         """
-        lsb = self.adc_v_range / 2 ** self.adc_bits
-        sigma_m_sq = (self.sigma_vac ** 2 + self.sigma_e ** 2) / lsb ** 2 + 1 / 12
+        lsb = self.adc_spec().lsb
+        sigma_q = self.chain_state(0).quantum_std(self.p_lo)
+        sigma_m_sq = (sigma_q ** 2 + self.sigma_e ** 2) / lsb ** 2 + 1 / 12
         sigma_e_sq = self.sigma_e ** 2 / lsb ** 2 + 1 / 12
-        diff = sigma_m_sq - sigma_e_sq
-        if diff <= 0:
-            raise ConfigError("configured noise leaves no quantum variance")
-        return 0.5 * math.log2(2 * math.pi * diff)
+        return min_entropy(sigma_m_sq, sigma_e_sq)
 
     def validate(self) -> None:
         """Cross-field consistency; raises ConfigError on hard violations."""
@@ -170,17 +168,17 @@ class PipelineConfig:
                                   f"block_size_n = {self.block_size_n}")
         if not 0 < self.beta < 1:
             raise ConfigError("beta must be in (0, 1)")
-        if self.sequence_length < 100 or self.n_sequences < 1:
-            raise ConfigError("suite needs sequence_length >= 100 and "
-                              "n_sequences >= 1")
+        if self.sequence_length < MIN_SEQUENCE_LENGTH or self.n_sequences < 1:
+            raise ConfigError(f"suite needs sequence_length >= "
+                              f"{MIN_SEQUENCE_LENGTH} and n_sequences >= 1")
         if self.master_seed < 0 or self.master_seed > 2 ** 64 - 1:
             raise ConfigError("master_seed must fit in 64 bits")
 
         # Leftover-hash budget: the configured geometry must be coverable
         # by the entropy the configured noise implies.
         if self.p_lo > 0 and self.sigma_vac > 0:
-            h = self.expected_h_min()
             try:
+                h = self.expected_h_min()
                 budget = block_budget(h, self.extractor_n, self.adc_bits,
                                       extractor.epsilon)
             except (NoExtractableEntropyError, ParameterError) as exc:

@@ -79,8 +79,8 @@ class ControllerConfig:
 class LoopRun:
     """A closed-loop run as arrays, one row or entry per block.
 
-    `codes` are the ADC codes (blocks x N; uint16, uint32 above 16 ADC
-    bits) and `centered` the half-LSB centered samples (blocks x N, int16).
+    `codes` are the ADC codes (blocks x N, uint16) and `centered` the
+    half-LSB centered samples (blocks x N, int16).
     `sums` are the block sums, `dac_before` the DAC code the block was
     measured at and `dac_after` the code after its decision (int64).
     `locked` marks sums inside [A, B]; `saturated` marks blocks holding
@@ -125,17 +125,15 @@ def decide(sum_value: int, cfg: ControllerConfig,
 
 
 def center_codes(codes: np.ndarray, block_sum) -> np.ndarray:
-    """Half-LSB centered values: 2*code_i - round(2*sum/N).
+    """Half-LSB centered values: 2*code_i - round(2*sum/N), in int16.
 
     `codes` is one block with its sum, or blocks x N with one sum per row.
+    The codes of an ADC of at most 14 bits (`AdcSpec`) keep it in int16.
     """
     codes = np.asarray(codes)
     n = codes.shape[-1]
-    doubled_mean = np.rint(2.0 * np.asarray(block_sum) / n).astype(np.int64)
-    centered = 2 * codes.astype(np.int64) - doubled_mean[..., None]
-    if centered.size and (centered.max() > 32767 or centered.min() < -32768):
-        raise ParameterError("centered values overflow the int16 stream format")
-    return centered.astype(np.int16)
+    doubled_mean = np.rint(2.0 * np.asarray(block_sum) / n).astype(np.int16)
+    return 2 * codes.astype(np.int16) - doubled_mean[..., None]
 
 
 def run_closed_loop(params: DeviceParams, chain: SignalChainState,
@@ -170,8 +168,7 @@ def run_closed_loop(params: DeviceParams, chain: SignalChainState,
             f"the correction step ({phase_per_step:.2e} rad); the loop may "
             "not keep up", stacklevel=2)
 
-    code_type = np.uint16 if adc.bits <= 16 else np.uint32
-    codes = np.empty((n_blocks, n), dtype=code_type)
+    codes = np.empty((n_blocks, n), dtype=np.uint16)
     centered = np.empty((n_blocks, n), dtype=np.int16)
     saturated = np.empty(n_blocks, dtype=bool)
     sums: list[int] = []

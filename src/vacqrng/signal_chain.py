@@ -30,7 +30,7 @@ SIGMA_E_CALIBRATED = math.sqrt(166.09 - 1.0 / 12.0) * _LSB_12BIT
 SIGMA_VAC_CALIBRATED = math.sqrt(1.86e5 - 166.09) * _LSB_12BIT
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdcSpec:
     """Analog-to-digital converter: mid-tread quantizer with clipping."""
 
@@ -39,8 +39,10 @@ class AdcSpec:
     sample_rate: float = 80e6
 
     def __post_init__(self) -> None:
-        if not 4 <= self.bits <= 24:
-            raise ParameterError(f"ADC bits must be in [4, 24], got {self.bits}")
+        # Centered samples are 2*code minus the doubled block mean, kept as
+        # int16: 2*max_code must fit, which caps the ADC at 14 bits.
+        if not 4 <= self.bits <= 14:
+            raise ParameterError(f"ADC bits must be in [4, 14], got {self.bits}")
         if self.v_range <= 0:
             raise ParameterError("ADC v_range must be positive")
         if self.sample_rate <= 0:

@@ -8,16 +8,18 @@ in the three-sigma band around 1 - beta:
 
     (1-beta) +/- 3*sqrt((1-beta)*beta/N)
 
-Input is the packed stream of `extracted.bin`: the first bit in the least
-significant bit of the first byte, plus its length in bits.  Every
-statistic is an integer counted from the packed words, never from one bit
-per byte: each sequence is moved to bit 0 of zeroed uint64 words
-(whatever its bit offset) with the bits past its end cleared, and the
-counts are popcounts of those words, of their XOR with the stream one bit
-on, and of ANDs of the stream shifted by 0..m bits; the random-walk
-excursion comes from per-byte tables.  The p-values use only the
-standard library: `math.erfc`, and the regularized upper incomplete gamma
-function of Numerical Recipes (series and continued fraction).
+`run_suite` takes the packed stream of `extracted.bin` (the first bit in
+the least significant bit of the first byte) and its length in bits.  It
+checks them and the sequence length once, moves each sequence to bit 0 of
+zeroed uint64 words (whatever its bit offset, the bits past its end
+cleared) and passes those words and the length to each test of
+`ALL_TESTS`: a plain function that returns the p-value, clamped to
+[0, 1], and checks nothing itself.  Every statistic is an integer counted
+from the words: popcounts of the words, of their XOR with the sequence
+one bit on, and of ANDs of the sequence shifted by 0..m bits; the
+random-walk excursion comes from per-byte tables.  The p-values use only
+the standard library: `math.erfc`, and the regularized upper incomplete
+gamma function of Numerical Recipes (series and continued fraction).
 
 The remaining tests of the full standard suite are delegated to external
 tools via the packed-bitstream export.
@@ -36,12 +38,8 @@ from .errors import DataError, ParameterError
 
 DEFAULT_BETA = 0.01
 
-
-@dataclass(frozen=True)
-class TestOutcome:
-    test_name: str
-    p_value: float
-    passed: bool
+# The longest minimum of the five tests: one 128-bit block-frequency block.
+MIN_SEQUENCE_LENGTH = 128
 
 
 @dataclass(frozen=True)
@@ -73,17 +71,6 @@ class SuiteVerdict:
         return "\n".join(lines)
 
 
-def _as_packed(packed, n_bits: int) -> np.ndarray:
-    arr = np.asarray(packed)
-    if arr.dtype != np.uint8 or arr.ndim != 1:
-        raise ParameterError("packed stream must be a one-dimensional "
-                             "uint8 array")
-    if not 0 <= n_bits <= 8 * arr.size:
-        raise ParameterError(
-            f"{n_bits} bits do not fit in {arr.size} packed bytes")
-    return arr
-
-
 def _words(packed: np.ndarray, start: int, n_bits: int) -> np.ndarray:
     """Bits [start, start + n_bits) of a packed stream, moved to bit 0 of
     n_bits // 64 + 1 little-endian uint64 words, zero past the last bit."""
@@ -103,9 +90,8 @@ def _ones(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 
 
-def _outcome(name: str, p_value: float, beta: float) -> TestOutcome:
-    p = float(min(max(p_value, 0.0), 1.0))
-    return TestOutcome(test_name=name, p_value=p, passed=p > beta)
+def _clamp(p_value: float) -> float:
+    return float(min(max(p_value, 0.0), 1.0))
 
 
 def _ndtr(x: float) -> float:
@@ -151,16 +137,10 @@ def _gammaincc(a: float, x: float) -> float:
     raise ParameterError(f"incomplete gamma Q({a}, {x}) did not converge")
 
 
-def monobit_test(packed, n_bits: int,
-                 beta: float = DEFAULT_BETA) -> TestOutcome:
+def monobit_test(words: np.ndarray, n: int) -> float:
     """Frequency test: erfc(|sum of +/-1| / sqrt(2n))."""
-    packed = _as_packed(packed, n_bits)
-    n = n_bits
-    if n < 100:
-        raise ParameterError(f"monobit test needs >= 100 bits, got {n}")
-    s = 2 * _ones(_words(packed, 0, n)) - n
-    p = math.erfc(abs(s) / math.sqrt(2.0 * n))
-    return _outcome("monobit", p, beta)
+    s = 2 * _ones(words) - n
+    return _clamp(math.erfc(abs(s) / math.sqrt(2.0 * n)))
 
 
 def _block_counts(words: np.ndarray, block_size: int,
@@ -176,49 +156,34 @@ def _block_counts(words: np.ndarray, block_size: int,
     return np.diff(before[at] + np.bitwise_count(words[at] & low))
 
 
-def block_frequency_test(packed, n_bits: int, block_size: int = 128,
-                         beta: float = DEFAULT_BETA) -> TestOutcome:
+def block_frequency_test(words: np.ndarray, n: int,
+                         block_size: int = 128) -> float:
     """Proportion of ones within fixed blocks, chi-square against 1/2."""
-    packed = _as_packed(packed, n_bits)
-    if block_size < 1:
-        raise ParameterError("block_size must be >= 1")
-    n_blocks = n_bits // block_size
-    if n_blocks < 1:
-        raise ParameterError(
-            f"need at least one {block_size}-bit block, got {n_bits} bits")
-    counts = _block_counts(_words(packed, 0, n_bits), block_size, n_blocks)
-    pi = counts / block_size
+    n_blocks = n // block_size
+    pi = _block_counts(words, block_size, n_blocks) / block_size
     chi2 = 4.0 * block_size * float(np.sum((pi - 0.5) ** 2))
-    p = _gammaincc(n_blocks / 2.0, chi2 / 2.0)
-    return _outcome("block_frequency", p, beta)
+    return _clamp(_gammaincc(n_blocks / 2.0, chi2 / 2.0))
 
 
-def _runs(packed: np.ndarray, n_bits: int) -> int:
+def _runs(words: np.ndarray, n: int) -> int:
     """Number of runs: one, plus one wherever a bit differs from the next
-    (the popcount of the stream XOR the stream one bit on)."""
-    return 1 + _ones(_words(packed, 0, n_bits - 1)
-                     ^ _words(packed, 1, n_bits - 1))
+    (the popcount of the sequence XOR the sequence one bit on)."""
+    seq = words.view(np.uint8)
+    return 1 + _ones(_words(seq, 0, n - 1) ^ _words(seq, 1, n - 1))
 
 
-def runs_test(packed, n_bits: int,
-              beta: float = DEFAULT_BETA) -> TestOutcome:
+def runs_test(words: np.ndarray, n: int) -> float:
     """Total number of runs against its expectation for the observed bias.
 
     Applies the standard frequency pre-test: a bias beyond 2/sqrt(n) makes
     the runs statistic meaningless and scores p = 0.
     """
-    packed = _as_packed(packed, n_bits)
-    n = n_bits
-    if n < 2:
-        raise ParameterError("runs test needs at least 2 bits")
-    pi = _ones(_words(packed, 0, n)) / n
+    pi = _ones(words) / n
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n) or pi in (0.0, 1.0):
-        return _outcome("runs", 0.0, beta)
-    v = _runs(packed, n)
-    num = abs(v - 2.0 * n * pi * (1.0 - pi))
+        return 0.0
+    num = abs(_runs(words, n) - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
-    p = math.erfc(num / den)
-    return _outcome("runs", p, beta)
+    return _clamp(math.erfc(num / den))
 
 
 def _byte_walks() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -233,7 +198,7 @@ def _byte_walks() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 _BYTE_WALK, _BYTE_END, _BYTE_HIGH, _BYTE_LOW = _byte_walks()
 
 
-def _max_excursion(packed: np.ndarray, n_bits: int, mode: str) -> int:
+def _max_excursion(words: np.ndarray, n: int, mode: str) -> int:
     """max_k |S_k| of the walk S_k = sum of the first k steps 2*bit - 1,
     run over the bits in order ("forward") or from the last ("backward").
 
@@ -241,10 +206,10 @@ def _max_excursion(packed: np.ndarray, n_bits: int, mode: str) -> int:
     included) give both: the backward walk visits S_n - S_j, so its
     excursion is max(S_n - L, H - S_n).  Each whole byte's walk starts at
     the running sum of the byte ends and reaches its extremes by table;
-    the last n_bits % 8 steps are walked out.
+    the last n % 8 steps are walked out.
     """
-    whole, rest = divmod(n_bits, 8)
-    data = _words(packed, 0, n_bits).view(np.uint8)
+    whole, rest = divmod(n, 8)
+    data = words.view(np.uint8)
     body = data[:whole]
     starts = np.concatenate(
         ([0], np.cumsum(np.take(_BYTE_END, body), dtype=np.int64)))
@@ -259,18 +224,13 @@ def _max_excursion(packed: np.ndarray, n_bits: int, mode: str) -> int:
     return max(high, -low)
 
 
-def cumulative_sums_test(packed, n_bits: int, mode: str = "forward",
-                         beta: float = DEFAULT_BETA) -> TestOutcome:
-    """Maximum excursion of the +/-1 random walk (forward or backward)."""
-    packed = _as_packed(packed, n_bits)
-    n = n_bits
-    if n < 2:
-        raise ParameterError("cumulative sums test needs at least 2 bits")
-    if mode not in ("forward", "backward"):
-        raise ParameterError(f"mode must be 'forward' or 'backward', not {mode!r}")
-    z = _max_excursion(packed, n, mode)
+def cumulative_sums_test(words: np.ndarray, n: int,
+                         mode: str = "forward") -> float:
+    """Maximum excursion of the +/-1 random walk, "forward" from the first
+    bit or "backward" from the last."""
+    z = _max_excursion(words, n, mode)
     if z == 0:
-        return _outcome("cumulative_sums", 1.0, beta)
+        return 1.0
     sqrt_n = math.sqrt(n)
 
     def cdf(k: int) -> float:
@@ -280,11 +240,10 @@ def cumulative_sums_test(packed, n_bits: int, mode: str = "forward",
         math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1))
     term2 = sum(cdf(4 * k + 3) - cdf(4 * k + 1) for k in range(
         math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1))
-    p = 1.0 - term1 + term2
-    return _outcome("cumulative_sums", p, beta)
+    return _clamp(1.0 - term1 + term2)
 
 
-def _pattern_counts(packed: np.ndarray, n_bits: int, m: int) -> np.ndarray:
+def _pattern_counts(words: np.ndarray, n: int, m: int) -> np.ndarray:
     """Counts of the 2**(m+1) circular (m+1)-bit patterns, indexed with
     the window's first bit as the most significant.
 
@@ -294,9 +253,8 @@ def _pattern_counts(packed: np.ndarray, n_bits: int, m: int) -> np.ndarray:
     bit t says; each level of the split reuses the AND of the levels
     above it.
     """
-    n = n_bits
     pad = -n % 8
-    seq = _words(packed, 0, n).view(np.uint8)
+    seq = words.view(np.uint8)
     # The sequence moved up by pad bits, so that it ends on a byte, then
     # the sequence again: bit pad + i is sequence bit i mod n.
     moved = _words(np.concatenate((np.zeros(1, np.uint8), seq)), 8 - pad,
@@ -323,25 +281,17 @@ def _split_counts(matches: np.ndarray, windows: list[np.ndarray],
     _split_counts(ones, windows[1:], counts)
 
 
-def approximate_entropy_test(packed, n_bits: int, pattern_length: int = 2,
-                             beta: float = DEFAULT_BETA) -> TestOutcome:
+def approximate_entropy_test(words: np.ndarray, n: int,
+                             pattern_length: int = 2) -> float:
     """Compares frequencies of overlapping m- and (m+1)-bit patterns.
 
     Windows wrap around the end of the sequence, as the standard
     statistic requires.
     """
-    packed = _as_packed(packed, n_bits)
-    n = n_bits
     m = pattern_length
-    if m < 1:
-        raise ParameterError("pattern_length must be >= 1")
-    if n < m + 2:
-        raise ParameterError(
-            f"approximate entropy needs more than m+1 = {m + 1} bits")
-
     # The m-bit window at a position is the prefix of the (m+1)-bit one, so
     # the m-bit counts are the sums of adjacent (m+1)-bit counts.
-    counts_long = _pattern_counts(packed, n, m)
+    counts_long = _pattern_counts(words, n, m)
     counts = counts_long.reshape(-1, 2).sum(axis=1)
 
     def phi(c: np.ndarray) -> float:
@@ -350,8 +300,7 @@ def approximate_entropy_test(packed, n_bits: int, pattern_length: int = 2,
 
     apen = phi(counts) - phi(counts_long)
     chi2 = max(2.0 * n * (math.log(2.0) - apen), 0.0)
-    p = _gammaincc(2 ** (m - 1), chi2 / 2.0)
-    return _outcome("approximate_entropy", p, beta)
+    return _clamp(_gammaincc(2 ** (m - 1), chi2 / 2.0))
 
 
 ALL_TESTS = {
@@ -378,7 +327,16 @@ def run_suite(packed, n_bits: int, sequence_length: int, n_sequences: int,
               beta: float = DEFAULT_BETA) -> SuiteVerdict:
     """Split a packed stream of n_bits bits into sequences, run every
     test, judge proportions."""
-    packed = _as_packed(packed, n_bits)
+    packed = np.asarray(packed)
+    if packed.dtype != np.uint8 or packed.ndim != 1:
+        raise ParameterError("packed stream must be a one-dimensional "
+                             "uint8 array")
+    if not 0 <= n_bits <= 8 * packed.size:
+        raise ParameterError(
+            f"{n_bits} bits do not fit in {packed.size} packed bytes")
+    if sequence_length < MIN_SEQUENCE_LENGTH:
+        raise ParameterError(f"sequences need >= {MIN_SEQUENCE_LENGTH} "
+                             f"bits, got {sequence_length}")
     needed = sequence_length * n_sequences
     if n_bits < needed:
         raise DataError(
@@ -387,9 +345,9 @@ def run_suite(packed, n_bits: int, sequence_length: int, n_sequences: int,
     lo, hi = pass_proportion_interval(beta, n_sequences)
     passes = {name: 0 for name in ALL_TESTS}
     for i in range(n_sequences):
-        seq = _words(packed, i * sequence_length, sequence_length)
+        words = _words(packed, i * sequence_length, sequence_length)
         for name, test in ALL_TESTS.items():
-            if test(seq.view(np.uint8), sequence_length, beta=beta).passed:
+            if test(words, sequence_length) > beta:
                 passes[name] += 1
     proportions = {name: count / n_sequences for name, count in passes.items()}
     overall = all(lo <= prop <= hi for prop in proportions.values())

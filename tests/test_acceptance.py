@@ -44,7 +44,7 @@ from tests.conftest import record_criterion
 from tests.loop_model import WINDOW_BLOCKS, judge_lock_in
 from tests.optics_reference import balance_phase, pd1_current
 from tests.test_controller import oracle_decide
-from tests.test_stattests import PI_100, packed
+from tests.test_stattests import PI_100, aligned
 
 N_LOOP_BLOCKS = 11_300
 SPEC_WARMUP_BLOCKS = 500   # criterion 4's specified warm-up
@@ -318,16 +318,16 @@ def test_criterion_9_throughput_report():
 
 def test_criterion_10_reference_vector_conformance():
     checks = [
-        ("monobit", monobit_test(*packed(PI_100)).p_value, 0.109599),
+        ("monobit", monobit_test(*aligned(PI_100)), 0.109599),
         ("block_frequency",
-         block_frequency_test(*packed("0110011010"), block_size=3).p_value,
+         block_frequency_test(*aligned("0110011010"), block_size=3),
          0.801252),
-        ("runs", runs_test(*packed("1001101011")).p_value, 0.147232),
+        ("runs", runs_test(*aligned("1001101011")), 0.147232),
         ("cumulative_sums",
-         cumulative_sums_test(*packed("1011010111")).p_value, 0.4116588),
+         cumulative_sums_test(*aligned("1011010111")), 0.4116588),
         ("approximate_entropy",
-         approximate_entropy_test(*packed("0100110101"),
-                                  pattern_length=3).p_value, 0.261961),
+         approximate_entropy_test(*aligned("0100110101"), pattern_length=3),
+         0.261961),
     ]
     deviations = {name: abs(got - want) for name, got, want in checks}
     ok = all(d <= 1e-4 for d in deviations.values())

@@ -60,11 +60,11 @@ class TestConfigParsing:
     def test_comments_and_overrides(self):
         config = parse_config_text(
             "# device under test\n"
-            "p_lo = 2.5  # mW\n"
+            "p_lo = 7.5  # mW\n"
             "\n"
             "master_seed = 99\n"
             "invert_loop = true\n")
-        assert config.p_lo == 2.5
+        assert config.p_lo == 7.5
         assert config.master_seed == 99
         assert config.invert_loop is True
 
@@ -109,6 +109,29 @@ class TestConfigValidation:
     def test_interval_order(self):
         with pytest.raises((ConfigError, ParameterError)):
             parse_config_text("interval_a = 3000000\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("adc_bits = 15", "ADC bits must be in \\[4, 14\\]"),
+        ("p_lo = 1.0", "leftover-hash budget 1688"),
+        ("sequence_length = 120", "sequence_length >= 128")])
+    def test_limits_rejected_at_load(self, tmp_path, capsys, line, message):
+        # each failed only after the loops had run: the overflow scan in
+        # centering, admission of the measured h_min, the suite
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=message):
+            load_config(cfg)
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_expected_h_min_scales_with_p_lo(self):
+        # the default is what the benchmark checks measured entropy against
+        assert PipelineConfig().expected_h_min() == 10.077575192548618
+        # var_Q scales with p_lo / p_ref: a quarter of the power is one bit
+        assert PipelineConfig(p_lo=1.25).expected_h_min() == pytest.approx(
+            10.077575192548618 - 1.0, abs=1e-9)
 
     def test_samples_must_cover_block(self):
         with pytest.raises(ConfigError):
@@ -204,7 +227,7 @@ class TestSeedsAndHash:
         assert (state.rng_seed, state.sigma_e) == (5, 0.01)
 
     def test_text_roundtrip(self):
-        config = PipelineConfig(p_lo=3.3, invert_loop=True, master_seed=17)
+        config = PipelineConfig(p_lo=6.6, invert_loop=True, master_seed=17)
         assert parse_config_text(config.to_text()) == config
 
 

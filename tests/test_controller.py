@@ -8,12 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vacqrng import controller
 from vacqrng.config import PipelineConfig
 from vacqrng.controller import (CHUNK_BLOCKS, ControllerConfig, center_codes,
                                 decide, run_closed_loop)
 from vacqrng.errors import ParameterError
 from vacqrng.optics import DeviceParams, homodyne_curve
-from vacqrng.signal_chain import SignalChainState
+from vacqrng.signal_chain import AdcSpec, SignalChainState
 from tests.loop_reference import as_loop_run, process_block, run_per_block
 from tests.optics_reference import balance_phase
 from tests.test_optics import symmetric_params
@@ -138,9 +139,20 @@ class TestProcessBlock:
 
 class TestCenterCodes:
     def test_overflow_guard(self):
-        codes = np.full(4, 2 ** 15, dtype=np.int64)
-        with pytest.raises(ParameterError):
-            center_codes(codes, int(codes.sum()) + 4 * 2 ** 15)
+        # 2 * max_code of a 15-bit ADC leaves int16: refused at the spec
+        with pytest.raises(ParameterError, match="14"):
+            AdcSpec(bits=15)
+        # a 14-bit ADC's extreme blocks center within int16, exactly
+        top = AdcSpec(bits=14).max_code
+        codes = np.array([[0] * 999 + [top], [top] * 999 + [0],
+                          [0] * 1000, [top] * 1000], dtype=np.uint16)
+        sums = codes.sum(axis=1, dtype=np.int64)
+        want = (2 * codes.astype(np.int64)
+                - np.rint(2.0 * sums / 1000).astype(np.int64)[:, None])
+        assert want.min() == -32733 and want.max() == 32733
+        got = center_codes(codes, sums)
+        assert got.dtype == np.int16
+        assert np.array_equal(got, want)
 
 
 class TestClosedLoop:
@@ -331,16 +343,21 @@ class TestArrayLoopMatchesPerBlockOracle:
                 assert np.array_equal(getattr(runs[seed], name),
                                       getattr(ref, name)), (seed, name)
 
-    def test_centering_overflow_raises_without_hanging(self):
-        # at 16 bits the noise spans ~6,900 LSB per sigma, so half-LSB
-        # values 2*code - round(2*mean) leave int16 in the first chunk,
-        # while the worker is drawing the next one
-        config = PipelineConfig(adc_bits=16, dac_init=5182)
-        chain = config.chain_state(1)
+    def test_centering_overflow_raises_without_hanging(self, monkeypatch):
+        # a 14-bit ADC cannot overflow int16, so the centering error is
+        # injected: it is raised in the first chunk, while the worker is
+        # drawing the next one, and must propagate and leave no thread
+        def overflow(codes, sums):
+            raise ParameterError("centered values overflow")
+
+        monkeypatch.setattr(controller, "center_codes", overflow)
+        config = PipelineConfig(dac_init=5182)
+        threads = threading.active_count()
         with pytest.raises(ParameterError, match="overflow"):
-            run_closed_loop(config.device_params(), chain,
+            run_closed_loop(config.device_params(), config.chain_state(1),
                             config.controller_config(), 4 * CHUNK_BLOCKS,
                             adc=config.adc_spec(), dac=config.dac_spec())
+        assert threading.active_count() == threads
 
 
 class TestConfigValidation:

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from vacqrng.cli import main
+from tests.test_config_pipeline import SYMMETRIC_SILENT
 
 PINNED_WITH_NUMPY = "2.4.6"
 
@@ -73,13 +74,20 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run_cli(command: str, out: Path, *extra: str,
+            code: int = 0) -> tuple[str, str]:
+    """`vacqrng COMMAND --seed 7` into out; asserts its exit code and
+    returns its stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        got = main([command, "--seed", "7", "--out", str(out), *extra])
+    assert got == code, stderr.getvalue()
+    return stdout.getvalue(), stderr.getvalue()
+
+
 def run_all(out: Path, *extra: str) -> str:
     """`vacqrng all --seed 7` into out; returns its stdout."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = main(["all", "--seed", "7", "--out", str(out), *extra])
-    assert code == 0
-    return stdout.getvalue()
+    return run_cli("all", out, *extra)[0]
 
 
 def check_pins(out: Path, pins: dict[str, str]) -> None:
@@ -129,3 +137,121 @@ def test_unaligned_sequences_all_pinned(small_all):
     out, stdout = small_all
     check_pins(out, SMALL_ALL)
     assert stdout == (out / "summary.txt").read_text()
+
+
+# The other commands at seed 7, each as (command, config text, exit code),
+# pinned by their artifacts and by the sha256 of their stdout and stderr
+# with the output directory written as "OUT".
+COMMANDS = {
+    # raw_codes.u16 from the uint16 code array
+    "simulate_raw": ("simulate", SMALL_CONFIG + "write_raw = true\n", 0),
+    "simulate_inverted": ("simulate", SMALL_CONFIG + "invert_loop = true\n",
+                          0),
+    "estimate": ("estimate", SMALL_CONFIG, 0),
+    # one command of the benchmark's extract_short workload
+    "extract_short": ("extract", "samples = 200000\ndac_init = 5182\n", 0),
+    # the extraction helper thread, m % 8 != 0 and a padded last byte
+    "odd_geometry_all": ("all", SMALL_CONFIG
+                         + "extractor_m = 60\nextractor_n = 203\n", 0),
+    # no quantum noise: exits 3 after writing the loop's artifacts
+    "degenerate_all": ("all", SYMMETRIC_SILENT, 3),
+}
+COMMAND_PINS = {
+    "simulate_raw": {
+        "files": {
+            "centered.i16": "47449cb7a61bf82dea10504e5e103dca1695384a23c0894b5b6e9ffcda664ee5",
+            "raw_codes.u16": "76ba795404b75fd1636c0ddeae9a811bfce0d5984db720b228540b5cf2d679e4",
+            "trace.jsonl": "c58b0112fcbbf632d01189a971599e9f2265cfafb4d6ba1c4329097dac54cad8",
+        },
+        "stdout": "97bbf78422a5f7bfaef55ef68392462f30a54d650dfc95c91d94d03033ab4f13",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "simulate_inverted": {
+        "files": {
+            "centered.i16": "8e64f92c2360d6b80695cca0146cac53b59ec7642e1a9d6a8e0bb415c915175e",
+            "trace.jsonl": "16bb6813ac5a6acb2fbad86df30a018467a8d5b58a18198b477c9a6075dbe9ab",
+        },
+        "stdout": "22ff8fab978f159ab34c2783f2e881067ae42549914d98a5f726f11e0ffc0b69",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "estimate": {
+        "files": {
+            "entropy.json": "15d47421e20769a065765f394fcbc00e5aab8b1e9c2c841f03a64788c158df11",
+        },
+        "stdout": "b11bf872d1c0acb7b3a42f347f250da8c4ce1810daa3e7b00ff2166da81dd473",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "extract_short": {
+        "files": {
+            "extracted.bin": "e6ac2802c84aaffa1d2bf65761fe7f3aedd294d0ad59021380e5392a70796efb",
+            "extractor_seed.bin": "449e5c7e51fc660431d6da4bf7fd4216d10dce4a5a580af80f1b7da9bf856292",
+        },
+        "stdout": "9c8c8029934249966d67022d4d530ac8fbc55100e9c2166f2ecec9b0bccdac38",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "odd_geometry_all": {
+        "files": {
+            "centered.i16": "47449cb7a61bf82dea10504e5e103dca1695384a23c0894b5b6e9ffcda664ee5",
+            "config.txt": "4a35cc809f7e4f71e5b10bc7fbfd26d5ad7963ca1467d0d6cb119e387488c84a",
+            "entropy.json": "b80cf7141d4a0c22c1ca4e87f8daf7d6d33af4a39027233f0d5303e4aa145220",
+            "extracted.bin": "d669562f4eca9d21dd3b2fd02837c603ec6b46d7c5e0e21ac2f6f5676b5fa039",
+            "extractor_seed.bin": "b38511a792e2cdae156bd22e2d14f5a911d4f9e28762f619159e18c0c9bfe4b2",
+            "manifest.json": "23e4abd3b9e01d7ac786c237a27f6243b50a52dbbfdf00291e2d1f861ca78adb",
+            "noise_centered.i16": "9268ddfeffc4947159006c698925670efb25d50d10792338f00c702bbed81097",
+            "summary.txt": "1d72caea209bcba61001fdda5bcefcdf501209dc283a04b04a1f153b26576826",
+            "trace.jsonl": "39648d0a39ca53ac5718b31b2a253463c279fcd772d0e68cf08dc5b77c443bd4",
+            "verdict.json": "7cf361c3bae1adb8be6a10a4207ed046470e75fea8490268b9f65d7d569738be",
+        },
+        "stdout": "1d72caea209bcba61001fdda5bcefcdf501209dc283a04b04a1f153b26576826",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "degenerate_all": {
+        "files": {
+            "centered.i16": "9192c25b734fcbadbe32dadc28089c60db0e39f90cc20ce2e5733f57261acc0c",
+            "config.txt": "2f7aae75c3cc98f8cacb3f708fe2a642ac0f9ffba67cecbfc0635777e2a5525f",
+            "manifest.json": "d8741f502ede928d43b6241a03df71d1b1d8b3bc6684116f1e22f0a20c812107",
+            "noise_centered.i16": "9192c25b734fcbadbe32dadc28089c60db0e39f90cc20ce2e5733f57261acc0c",
+            "trace.jsonl": "4696c83ba1360ef2fce02d4400921f9a78d6d366948e1a9e41f42d7222421891",
+        },
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "3755699ea9761db19146d77d187baf8ed53d886afc9aa88ee8d2f1f31213948c",
+    },
+}
+TEST_BITS_PINS = {
+    "files": {
+        "verdict.json": "d7173cebdf470c778764f6e54915cca40dc0972e06d492cadad3c934b5cca338",
+    },
+    "stdout": "30e20cee4ccbe7f8ad95bc9639185e6bbb22f766851765fb4a5afc6d95560e2e",
+}
+
+
+def masked_sha256(text: str, out: Path) -> str:
+    return hashlib.sha256(text.replace(str(out), "OUT").encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_artifacts_pinned(name, tmp_path):
+    command, config_text, code = COMMANDS[name]
+    config = tmp_path / "config.txt"
+    config.write_text(config_text)
+    out = tmp_path / "out"
+    stdout, stderr = run_cli(command, out, "--config", str(config),
+                             code=code)
+    pins = COMMAND_PINS[name]
+    check_pins(out, pins["files"])
+    assert masked_sha256(stdout, out) == pins["stdout"]
+    assert masked_sha256(stderr, out) == pins["stderr"]
+
+
+def test_bits_file_in_run_directory_pinned(small_all, tmp_path):
+    """`test --bits` on a run's extracted.bin: the suite through
+    `read_packed`.  At m = 1920 the manifest's bit count fills the
+    bytes; the tests of `test_config_pipeline` check the count rule."""
+    run_dir, _ = small_all
+    config = tmp_path / "small.txt"
+    config.write_text(SMALL_CONFIG)
+    out = tmp_path / "out"
+    stdout, _ = run_cli("test", out, "--config", str(config),
+                        "--bits", str(run_dir / "extracted.bin"))
+    check_pins(out, TEST_BITS_PINS["files"])
+    assert masked_sha256(stdout, out) == TEST_BITS_PINS["stdout"]
