@@ -12,9 +12,10 @@ Centered samples are kept in half-LSB fixed point (2*code minus the
 rounded doubled mean), which keeps the arithmetic exact in integers while
 retaining one fractional bit of the mean.
 
-A run is one `LoopRun` of arrays with a row or an entry per block: raw
-codes, centered samples, block sums, DAC codes before and after each
-decision, lock and saturation flags.  Per block the chain's stream holds N
+A run is one `LoopRun` of arrays with a row or an entry per block:
+centered samples, block sums, DAC codes before and after each decision,
+lock and saturation flags.  `LoopRun.codes` rebuilds the raw codes
+exactly from centered samples and sums.  Per block the chain's stream holds N
 quantum, then N electronic, then one drift normal.  The noise is drawn in
 chunks of CHUNK_BLOCKS blocks, each one `standard_normal` fill whose row i
 holds block i's draws in that order (see `signal_chain.draw_block_noise`).
@@ -26,9 +27,9 @@ chunk size.  The fill is about half of the loop's cost and cannot be split
 worker thread draws chunk j + 1 into the second of two preallocated
 buffers while the caller's thread runs the sequential part of chunk j: per
 block, the mean voltage at the current phase, quantization, SUM and
-`decide`; then, per chunk, the saturation flags, the stored codes and the
-centering in one vectorized pass.  numpy releases the GIL while it fills
-the buffer.
+`decide`; then, per chunk, the saturation flags and the centering of the
+clipped codes in one vectorized pass.  numpy releases the GIL while it
+fills the buffer.
 """
 
 from __future__ import annotations
@@ -79,15 +80,14 @@ class ControllerConfig:
 class LoopRun:
     """A closed-loop run as arrays, one row or entry per block.
 
-    `codes` are the ADC codes (blocks x N, uint16) and `centered` the
-    half-LSB centered samples (blocks x N, int16).
-    `sums` are the block sums, `dac_before` the DAC code the block was
+    `centered` are the half-LSB centered samples (blocks x N, int16),
+    `sums` the block sums, `dac_before` the DAC code the block was
     measured at and `dac_after` the code after its decision (int64).
     `locked` marks sums inside [A, B]; `saturated` marks blocks holding
-    clipped ADC samples.
+    clipped ADC samples.  `codes`, the ADC codes (blocks x N, uint16),
+    are derived from `centered` and `sums`, not stored.
     """
 
-    codes: np.ndarray
     centered: np.ndarray
     sums: np.ndarray
     dac_before: np.ndarray
@@ -97,6 +97,15 @@ class LoopRun:
 
     def __len__(self) -> int:
         return self.sums.size
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The ADC codes, (centered + doubled mean) / 2, exactly: the
+        inverse of `center_codes`."""
+        doubled = doubled_mean(self.sums, self.centered.shape[-1])
+        codes = self.centered + doubled[:, None]
+        codes >>= 1
+        return codes.view(np.uint16)
 
     def first_locked(self) -> int | None:
         """Index of the first locked block, None if none locked."""
@@ -124,6 +133,11 @@ def decide(sum_value: int, cfg: ControllerConfig,
     return (c if dac > mod - c else (dac + c) % mod), False
 
 
+def doubled_mean(block_sum, n: int) -> np.ndarray:
+    """round(2*sum/N) per block, in int16: the half-LSB block mean."""
+    return np.rint(2.0 * np.asarray(block_sum) / n).astype(np.int16)
+
+
 def center_codes(codes: np.ndarray, block_sum) -> np.ndarray:
     """Half-LSB centered values: 2*code_i - round(2*sum/N), in int16.
 
@@ -131,9 +145,8 @@ def center_codes(codes: np.ndarray, block_sum) -> np.ndarray:
     The codes of an ADC of at most 14 bits (`AdcSpec`) keep it in int16.
     """
     codes = np.asarray(codes)
-    n = codes.shape[-1]
-    doubled_mean = np.rint(2.0 * np.asarray(block_sum) / n).astype(np.int16)
-    return 2 * codes.astype(np.int16) - doubled_mean[..., None]
+    doubled = doubled_mean(block_sum, codes.shape[-1])
+    return 2 * codes.astype(np.int16) - doubled[..., None]
 
 
 def run_closed_loop(params: DeviceParams, chain: SignalChainState,
@@ -168,7 +181,6 @@ def run_closed_loop(params: DeviceParams, chain: SignalChainState,
             f"the correction step ({phase_per_step:.2e} rad); the loop may "
             "not keep up", stacklevel=2)
 
-    codes = np.empty((n_blocks, n), dtype=np.uint16)
     centered = np.empty((n_blocks, n), dtype=np.int16)
     saturated = np.empty(n_blocks, dtype=bool)
     sums: list[int] = []
@@ -216,10 +228,9 @@ def run_closed_loop(params: DeviceParams, chain: SignalChainState,
             # Saturated: clipping moved a sample of the block.
             stop = start + k
             saturated[start:stop] = (clipped[:k] != raw[:k]).any(axis=1)
-            codes[start:stop] = clipped[:k]
-            centered[start:stop] = center_codes(codes[start:stop],
+            centered[start:stop] = center_codes(clipped[:k],
                                                 np.array(sums[start:stop]))
-    return LoopRun(codes=codes, centered=centered,
+    return LoopRun(centered=centered,
                    sums=np.array(sums, dtype=np.int64),
                    dac_before=np.array(dac_before, dtype=np.int64),
                    dac_after=np.array(dac_after, dtype=np.int64),

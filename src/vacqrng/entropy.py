@@ -22,17 +22,41 @@ import numpy as np
 from .errors import NoExtractableEntropyError, ParameterError
 
 
-def sample_variance(values) -> float:
-    """Unbiased sample variance (two-pass, divide by n-1).
+# Samples per leaf of the variance's summation tree: the largest
+# deviation array sample_variance holds (float64, 512 KB).
+VARIANCE_LEAF = 1 << 16
 
-    Integer input is not cast up front: numpy sums it in float64, exactly
-    while the sum stays below 2^53, so the result equals that of the
-    float64 copy without holding one.
+
+def _square_sum(values: np.ndarray, lo: int, n: int, mean: float) -> float:
+    """Sum of (values[lo:lo+n] - mean)^2 along numpy's pairwise-summation
+    tree: split at n // 2 rounded down to a multiple of 8, as numpy's
+    float64 `add.reduce` does, down to leaves of at most VARIANCE_LEAF
+    samples that numpy sums itself."""
+    if n <= VARIANCE_LEAF:
+        deviation = values[lo:lo + n] - mean
+        np.multiply(deviation, deviation, out=deviation)
+        return float(np.add.reduce(deviation))
+    half = n // 2 - n // 2 % 8
+    return (_square_sum(values, lo, half, mean)
+            + _square_sum(values, lo + half, n - half, mean))
+
+
+def sample_variance(values) -> float:
+    """Unbiased sample variance (two-pass, divide by n-1) of integer or
+    float64 values, equal to `np.var(values, ddof=1)` bit for bit.
+
+    The mean is numpy's buffered float64 sum over n.  The squared
+    deviations are summed leaf by leaf along the tree numpy's pairwise
+    summation would walk over the whole deviation array, so every
+    addition is the same and no more than VARIANCE_LEAF deviations are
+    held at once, where `np.var` holds all n in float64.
     """
-    values = np.asarray(values)
-    if values.size < 2:
+    values = np.asarray(values).reshape(-1)
+    n = values.size
+    if n < 2:
         raise ParameterError("variance needs at least 2 values")
-    return float(np.var(values, ddof=1))
+    mean = np.add.reduce(values, dtype=np.float64) / n
+    return _square_sum(values, 0, n, mean) / (n - 1)
 
 
 def min_entropy(sigma_m_sq: float, sigma_e_sq: float) -> float:

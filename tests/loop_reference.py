@@ -101,8 +101,10 @@ def run_per_block(params: DeviceParams, chain: SignalChainState,
 
 
 def as_loop_run(blocks: list[SampleBlock], trace: list[BlockRecord],
-                block_size_n: int) -> LoopRun:
-    """The per-block lists as the arrays of a LoopRun."""
+                block_size_n: int) -> tuple[LoopRun, np.ndarray]:
+    """The per-block lists as the arrays of a LoopRun, and the blocks'
+    own codes stacked (blocks x N): the oracle for `LoopRun.codes`, which
+    a LoopRun rebuilds from its centered samples and sums."""
     def column(name, dtype):
         return np.array([getattr(r, name) for r in trace], dtype=dtype)
 
@@ -111,10 +113,10 @@ def as_loop_run(blocks: list[SampleBlock], trace: list[BlockRecord],
         return (np.array(rows, dtype=dtype) if rows
                 else np.empty((0, block_size_n), dtype=dtype))
 
-    return LoopRun(codes=stack("codes", np.int64),
-                   centered=stack("centered", np.int16),
-                   sums=column("sum", np.int64),
-                   dac_before=column("dac_before", np.int64),
-                   dac_after=column("dac_after", np.int64),
-                   locked=column("locked", bool),
-                   saturated=column("saturated", bool))
+    run = LoopRun(centered=stack("centered", np.int16),
+                  sums=column("sum", np.int64),
+                  dac_before=column("dac_before", np.int64),
+                  dac_after=column("dac_after", np.int64),
+                  locked=column("locked", bool),
+                  saturated=column("saturated", bool))
+    return run, stack("codes", np.int64)

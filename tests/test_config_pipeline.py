@@ -333,7 +333,7 @@ class TestPipeline:
         locked = np.array([0, 0, 1, 0, 1, 0], dtype=bool)
         saturated = np.array([1, 0, 0, 1, 0, 0], dtype=bool)
         rows = np.arange(6, dtype=np.int16)[:, None].repeat(2, axis=1)
-        synthetic = LoopRun(codes=rows, centered=rows, sums=rows[:, 0],
+        synthetic = LoopRun(centered=rows, sums=rows[:, 0],
                             dac_before=rows[:, 0], dac_after=rows[:, 0],
                             locked=locked, saturated=saturated)
         assert select_centered(config, synthetic).tolist() \

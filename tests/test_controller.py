@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,11 +11,11 @@ import pytest
 
 from vacqrng import controller
 from vacqrng.config import PipelineConfig
-from vacqrng.controller import (CHUNK_BLOCKS, ControllerConfig, center_codes,
-                                decide, run_closed_loop)
+from vacqrng.controller import (CHUNK_BLOCKS, ControllerConfig, LoopRun,
+                                center_codes, decide, run_closed_loop)
 from vacqrng.errors import ParameterError
 from vacqrng.optics import DeviceParams, homodyne_curve
-from vacqrng.signal_chain import AdcSpec, SignalChainState
+from vacqrng.signal_chain import AdcSpec, SignalChainState, block_noise_width
 from tests.loop_reference import as_loop_run, process_block, run_per_block
 from tests.optics_reference import balance_phase
 from tests.test_optics import symmetric_params
@@ -154,8 +155,48 @@ class TestCenterCodes:
         assert got.dtype == np.int16
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("bits", [4, 14])
+    @pytest.mark.parametrize("n", [1000, 7])
+    def test_codes_round_trip(self, bits, n):
+        # codes -> center_codes -> LoopRun.codes, through the one doubled
+        # mean rule: railed (saturated) blocks, one sample off either rail,
+        # half-way means and random blocks over the full range
+        top = AdcSpec(bits=bits).max_code
+        rng = np.random.default_rng(bits)
+        rows = [[0] * n, [top] * n, [0] * (n - 1) + [top],
+                [top] * (n - 1) + [0], ([0, top] * n)[:n],
+                [top // 2] * (n // 2) + [top // 2 + 1] * (n - n // 2),
+                *rng.integers(0, top + 1, size=(8, n)).tolist()]
+        codes = np.array(rows, dtype=np.uint16)
+        sums = codes.sum(axis=1, dtype=np.int64)
+        flags = np.zeros(len(rows), dtype=bool)
+        run = LoopRun(centered=center_codes(codes, sums), sums=sums,
+                      dac_before=sums, dac_after=sums, locked=flags,
+                      saturated=flags)
+        assert run.codes.dtype == np.uint16
+        assert np.array_equal(run.codes, codes)
+
 
 class TestClosedLoop:
+    def test_run_holds_two_bytes_per_sample(self):
+        # numpy reports its buffers to tracemalloc: beyond the int16
+        # centered samples, a run holds only its fixed chunk buffers (two
+        # noise fills, the raw and clipped voltages) and ~1 MB of chunk
+        # temporaries and per-block lists, whatever its length
+        config = PipelineConfig(dac_init=5182)
+        n_blocks, n = 2000, config.block_size_n
+        buffers = 8 * CHUNK_BLOCKS * (2 * block_noise_width(n) + 2 * n)
+        chain = config.chain_state(3)
+        tracemalloc.start()
+        try:
+            run_closed_loop(config.device_params(), chain,
+                            config.controller_config(), n_blocks,
+                            adc=config.adc_spec(), dac=config.dac_spec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n_blocks * n + buffers + 2_000_000, peak
+
     def test_noiseless_symmetric_device_locks_immediately(self):
         chain = SignalChainState(sigma_vac=0.0, sigma_e=0.0,
                                  drift_rate_std=0.0, rng_seed=1)
@@ -229,8 +270,8 @@ class TestClosedLoop:
             run_closed_loop(DeviceParams(), chain, CFG, 2)
 
 
-RUN_FIELDS = ("codes", "centered", "sums", "dac_before", "dac_after",
-              "locked", "saturated")
+RUN_FIELDS = ("centered", "sums", "dac_before", "dac_after", "locked",
+              "saturated")
 
 
 def _loop_pair(config: PipelineConfig, n_blocks: int, lo_off: bool = False,
@@ -246,14 +287,18 @@ def _loop_pair(config: PipelineConfig, n_blocks: int, lo_off: bool = False,
     cfg = config.controller_config()
     run = run_closed_loop(params, chains[0], cfg, n_blocks, **common)
     blocks, trace = run_per_block(params, chains[1], cfg, n_blocks, **common)
-    return run, as_loop_run(blocks, trace, cfg.block_size_n), chains
+    return (run, *as_loop_run(blocks, trace, cfg.block_size_n), chains)
 
 
-def _assert_same_run(run, ref, chains):
+def _assert_same_run(run, ref, ref_codes, chains):
     for name in RUN_FIELDS:
         got, want = getattr(run, name), getattr(ref, name)
         assert got.shape == want.shape, name
         assert np.array_equal(got, want), name
+    # the rebuilt codes against the per-block loop's own, not against
+    # codes rebuilt from the oracle's centered samples and sums
+    assert run.codes.shape == ref_codes.shape
+    assert np.array_equal(run.codes, ref_codes)
     assert run.codes.dtype == np.uint16 and run.centered.dtype == np.int16
     assert chains[0].delta_phi_ambient == chains[1].delta_phi_ambient
     # both chains stand at the same point of their streams
@@ -267,18 +312,18 @@ class TestArrayLoopMatchesPerBlockOracle:
     def test_default_lo_on_acquisition(self):
         # from dac_init 8092: acquisition with railed (saturated) blocks,
         # then the first locks around block 580
-        run, ref, chains = _loop_pair(PipelineConfig(), 700)
+        run, ref, ref_codes, chains = _loop_pair(PipelineConfig(), 700)
         assert ref.saturated.any() and ref.locked.any()
-        _assert_same_run(run, ref, chains)
+        _assert_same_run(run, ref, ref_codes, chains)
 
     def test_frozen_lo_off(self):
         _assert_same_run(*_loop_pair(PipelineConfig(), 150, lo_off=True))
 
     def test_invert_loop(self):
         config = PipelineConfig(invert_loop=True, dac_init=5182)
-        run, ref, chains = _loop_pair(config, 200)
+        run, ref, ref_codes, chains = _loop_pair(config, 200)
         assert len(set(ref.dac_after.tolist())) > 1
-        _assert_same_run(run, ref, chains)
+        _assert_same_run(run, ref, ref_codes, chains)
 
     @pytest.mark.parametrize("n_blocks", [1, CHUNK_BLOCKS - 1, CHUNK_BLOCKS,
                                           CHUNK_BLOCKS + 1,
@@ -288,14 +333,14 @@ class TestArrayLoopMatchesPerBlockOracle:
         _assert_same_run(*_loop_pair(config, n_blocks))
 
     def test_zero_blocks(self):
-        run, ref, chains = _loop_pair(PipelineConfig(), 0)
+        run, ref, ref_codes, chains = _loop_pair(PipelineConfig(), 0)
         assert len(run) == 0 and run.codes.shape == (0, 1000)
-        _assert_same_run(run, ref, chains)
+        _assert_same_run(run, ref, ref_codes, chains)
 
     def test_continued_run_on_same_chain(self):
         config = PipelineConfig()
-        first, ref_first, chains = _loop_pair(config, 90)
-        _assert_same_run(first, ref_first, chains)
+        first, *ref_first, chains = _loop_pair(config, 90)
+        _assert_same_run(first, *ref_first, chains)
         initial = int(first.dac_after[-1])
         cfg = config.controller_config()
         run = run_closed_loop(config.device_params(), chains[0], cfg, 100,
@@ -304,7 +349,7 @@ class TestArrayLoopMatchesPerBlockOracle:
         blocks, trace = run_per_block(
             config.device_params(), chains[1], cfg, 100,
             adc=config.adc_spec(), dac=config.dac_spec(), initial=initial)
-        _assert_same_run(run, as_loop_run(blocks, trace, 1000), chains)
+        _assert_same_run(run, *as_loop_run(blocks, trace, 1000), chains)
 
     def test_concurrent_runs_under_fast_thread_switching(self):
         # four loops (each with its own draw worker) on one process, with
@@ -338,10 +383,11 @@ class TestArrayLoopMatchesPerBlockOracle:
                                           cfg, n_blocks,
                                           adc=config.adc_spec(),
                                           dac=config.dac_spec())
-            ref = as_loop_run(blocks, trace, cfg.block_size_n)
+            ref, ref_codes = as_loop_run(blocks, trace, cfg.block_size_n)
             for name in RUN_FIELDS:
                 assert np.array_equal(getattr(runs[seed], name),
                                       getattr(ref, name)), (seed, name)
+            assert np.array_equal(runs[seed].codes, ref_codes), seed
 
     def test_centering_overflow_raises_without_hanging(self, monkeypatch):
         # a 14-bit ADC cannot overflow int16, so the centering error is

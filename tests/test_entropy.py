@@ -1,6 +1,7 @@
 """Variance estimation, conditional min-entropy, extractor budget."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,20 @@ class TestSampleVariance:
         values = np.rint(rng.normal(0, 862, size=300_001)).astype(np.int16)
         assert sample_variance(values) == float(
             np.var(values.astype(np.float64), ddof=1))
+
+    def test_bounded_memory(self):
+        # numpy reports its buffers to tracemalloc: np.var holds a float64
+        # deviation array of the whole stream (32 MB here), the tree walk
+        # one leaf of it at a time
+        values = np.rint(np.random.default_rng(17).normal(
+            0, 1700, size=4_000_000)).astype(np.int16)
+        tracemalloc.start()
+        try:
+            sample_variance(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
 
 
 class TestMinEntropy:
