@@ -14,17 +14,18 @@ the LO-off chain seed, the extractor test-seed, and a spare.
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .controller import ControllerConfig
-from .entropy import block_budget, min_entropy
+from .entropy import block_budget, block_samples, min_entropy
 from .errors import ConfigError, NoExtractableEntropyError, ParameterError
 from .optics import DeviceParams
 from .signal_chain import (SIGMA_E_CALIBRATED, SIGMA_VAC_CALIBRATED,
-                           AdcSpec, DacSpec, SignalChainState)
+                           AdcSpec, SignalChainState)
 from .stattests import MIN_SEQUENCE_LENGTH
 from .toeplitz import ExtractorParams
 
@@ -104,9 +105,6 @@ class PipelineConfig:
     def adc_spec(self) -> AdcSpec:
         return self._view(AdcSpec, "adc_")
 
-    def dac_spec(self) -> DacSpec:
-        return self._view(DacSpec, "dac_")
-
     def controller_config(self) -> ControllerConfig:
         return self._view(ControllerConfig, dac_bits_n=self.dac_bits)
 
@@ -138,26 +136,36 @@ class PipelineConfig:
 
     def validate(self) -> None:
         """Cross-field consistency; raises ConfigError on hard violations."""
-        # Constructing the typed views runs each component's own checks;
-        # a value one of them rejects is a configuration error.
+        # Constructing the typed views runs each component's own checks,
+        # and an extractor block must hold a whole sample whatever the
+        # noise; a value one of them rejects is a configuration error.
         try:
             self.device_params()
             adc = self.adc_spec()
-            dac = self.dac_spec()
             self.controller_config()
             extractor = self.extractor_params()
             self.chain_state(0)
+            block_samples(self.extractor_n, self.adc_bits)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
 
-        if abs(dac.v_range - 2 * self.v_pi) > 1e-9:
+        if abs(self.dac_v_range - 2 * self.v_pi) > 1e-9:
             warnings.warn(
-                f"DAC range {dac.v_range} V != 2*v_pi = {2 * self.v_pi} V: "
-                "code wraparound will not be an exact phase wrap",
+                f"DAC range {self.dac_v_range} V != 2*v_pi = "
+                f"{2 * self.v_pi} V: code wraparound will not be an exact "
+                "phase wrap",
                 stacklevel=2)
         if self.block_size_n * adc.max_code < self.interval_b:
             warnings.warn("decision interval lies above the largest possible "
                           "block sum", stacklevel=2)
+        phase_per_step = 2 * math.pi * self.step_c / 2 ** self.dac_bits
+        drift_per_tau = self.drift_rate_std * math.sqrt(
+            self.block_size_n / self.sample_rate)
+        if drift_per_tau > 0.5 * phase_per_step:
+            warnings.warn(
+                f"drift per block ({drift_per_tau:.2e} rad) is not small "
+                f"against the correction step ({phase_per_step:.2e} rad); the "
+                "loop may not keep up", stacklevel=2)
         # A run simulates whole blocks; it never drops a partial one.
         for name in ("samples", "noise_samples"):
             count = getattr(self, name)

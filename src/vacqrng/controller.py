@@ -6,7 +6,9 @@ DAC code down by c, SUM above B steps it up by c, with wraparound near the
 code boundaries (the DAC spans two half-wave voltages, so code wraparound
 is a 2*pi phase wrap).  The residual bias that the discrete steps cannot
 remove is eliminated afterwards by subtracting the block mean from the N
-samples.
+samples.  The DAC's n-bit width sets both the wrap and the phase a code
+puts on the modulator, so the DAC is part of `ControllerConfig` and
+`dac_to_phase` turns its codes into phase.
 
 Centered samples are kept in half-LSB fixed point (2*code minus the
 rounded doubled mean), which keeps the arithmetic exact in integers while
@@ -34,17 +36,16 @@ fills the buffer.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
 from .optics import DeviceParams, homodyne_curve
-from .signal_chain import (AdcSpec, DacSpec, SignalChainState, adc_clip,
-                           adc_ideal_codes, block_noise_width, dac_to_phase,
-                           detector_volts, draw_block_noise, drift_phase,
-                           scale_block_noise)
+from .signal_chain import (AdcSpec, SignalChainState, adc_clip,
+                           adc_ideal_codes, block_noise_width, detector_volts,
+                           draw_block_noise, drift_phase, scale_block_noise)
 
 # Blocks per bulk noise draw: large enough to amortize the per-call cost,
 # small enough that the two noise buffers stay at ~1 MB each.
@@ -53,17 +54,27 @@ CHUNK_BLOCKS = 64
 
 @dataclass(frozen=True)
 class ControllerConfig:
+    """The loop's decision rule and the n-bit DAC it steps."""
+
     block_size_n: int = 1000
     interval_a: int = 2043000
     interval_b: int = 2053000
     step_c: int = 5
     dac_bits_n: int = 14
+    dac_v_range: float = 2.480
     dac_init: int = 8092
     invert_loop: bool = False
 
     def __post_init__(self) -> None:
-        if self.block_size_n < 1:
-            raise ParameterError("block_size_n must be >= 1")
+        # The width first: the code ranges below are powers of it.
+        if not 4 <= self.dac_bits_n <= 24:
+            raise ParameterError(
+                f"DAC bits must be in [4, 24], got {self.dac_bits_n}")
+        if self.dac_v_range <= 0:
+            raise ParameterError("DAC v_range must be positive")
+        # A one-sample block centers to 0: its samples carry nothing.
+        if self.block_size_n < 2:
+            raise ParameterError("block_size_n must be >= 2")
         if self.interval_a > self.interval_b:
             raise ParameterError("interval_a must be <= interval_b")
         if not 0 < self.step_c < 2 ** self.dac_bits_n:
@@ -112,6 +123,15 @@ class LoopRun:
         return int(np.argmax(self.locked)) if self.locked.any() else None
 
 
+def dac_to_phase(dac_data: int, cfg: ControllerConfig, v_pi: float) -> float:
+    """Phase shift (rad) produced by a DAC code: pi * V_out / v_pi."""
+    if not 0 <= dac_data < cfg.dac_modulus:
+        raise ParameterError(
+            f"dac_data {dac_data} out of range [0, {cfg.dac_modulus})")
+    voltage = dac_data * cfg.dac_v_range / cfg.dac_modulus
+    return math.pi * voltage / v_pi
+
+
 def decide(sum_value: int, cfg: ControllerConfig,
            dac: int) -> tuple[int, bool]:
     """The DAC code after one block's decision, and whether SUM locked.
@@ -150,11 +170,8 @@ def center_codes(codes: np.ndarray, block_sum) -> np.ndarray:
 
 
 def run_closed_loop(params: DeviceParams, chain: SignalChainState,
-                    cfg: ControllerConfig, n_blocks: int,
-                    adc: AdcSpec | None = None,
-                    dac: DacSpec | None = None,
-                    frozen: bool = False,
-                    initial: int | None = None) -> LoopRun:
+                    cfg: ControllerConfig, n_blocks: int, adc: AdcSpec,
+                    frozen: bool = False) -> LoopRun:
     """Simulate n_blocks compensation periods of the closed loop.
 
     Per block: sample block_size_n detector outputs at the current total
@@ -162,25 +179,15 @@ def run_closed_loop(params: DeviceParams, chain: SignalChainState,
     drift by one block period.  The new DAC code applies from the next
     block (one-block actuation latency).  `frozen=True` holds the DAC code
     fixed (noise-only runs, where SUM carries no phase information).
-    `initial` is the starting DAC code, `cfg.dac_init` by default.
+    The DAC starts at `cfg.dac_init`.
     `chain` is advanced in place, past exactly the draws of n_blocks.
     """
     # Imported here so that importing the package starts no thread
     # machinery.
     from concurrent.futures import ThreadPoolExecutor
 
-    adc = adc or AdcSpec()
-    dac = dac or DacSpec()
     n = cfg.block_size_n
     tau = n / adc.sample_rate
-    phase_per_step = 2 * np.pi * cfg.step_c / cfg.dac_modulus
-    drift_per_tau = chain.drift_rate_std * np.sqrt(tau)
-    if drift_per_tau > 0.5 * phase_per_step:
-        warnings.warn(
-            f"drift per block ({drift_per_tau:.2e} rad) is not small against "
-            f"the correction step ({phase_per_step:.2e} rad); the loop may "
-            "not keep up", stacklevel=2)
-
     centered = np.empty((n_blocks, n), dtype=np.int16)
     saturated = np.empty(n_blocks, dtype=bool)
     sums: list[int] = []
@@ -194,7 +201,7 @@ def run_closed_loop(params: DeviceParams, chain: SignalChainState,
     clipped = np.empty((rows, n))
     starts = range(0, n_blocks, CHUNK_BLOCKS)
     difference = homodyne_curve(params)
-    code = cfg.dac_init if initial is None else initial
+    code = cfg.dac_init
 
     def draw(j: int) -> np.ndarray:
         k = min(CHUNK_BLOCKS, n_blocks - starts[j])
@@ -210,7 +217,7 @@ def run_closed_loop(params: DeviceParams, chain: SignalChainState,
                                                            noise, tau)
             k = len(noise)
             for i, step in enumerate(drift.tolist()):
-                phase = dac_to_phase(code, dac, params.v_pi)
+                phase = dac_to_phase(code, cfg, params.v_pi)
                 mean = difference(chain.delta_phi_ambient + phase)
                 volts = detector_volts(mean, quantum[i], electronic[i],
                                        out=raw[i])

@@ -84,26 +84,31 @@ def min_entropy_discretized(sigma_q_sq: float, lsb_units: float = 1.0) -> float:
     return -math.log2(p_max)
 
 
+def block_samples(n: int, bits_per_sample: int) -> int:
+    """Whole samples in an n-bit input block, which must hold one."""
+    samples = n // bits_per_sample
+    if samples < 1:
+        raise ParameterError("an input block must hold a whole sample")
+    return samples
+
+
 def block_budget(h_min_per_sample: float, n: int, bits_per_sample: int,
                  epsilon: float) -> int:
     """The admission rule: leftover-hash budget of one n-bit input block,
     floor(k * h - 2*log2(1/epsilon)) bits from its k = n // bits_per_sample
     whole samples at h_min rounded to the 0.01-bit precision the extractor
-    geometry is sized with.  Validation applies it to the configured
+    geometry is sized with; a budget of 0 or less, which every h <= 0
+    gives, admits nothing.  Validation applies it to the configured
     noise, every estimate to the measured."""
     if not 0 < epsilon <= 1:
         raise ParameterError(f"epsilon must be in (0, 1], got {epsilon}")
     h = round(h_min_per_sample, 2)
-    if h <= 0:
-        raise ParameterError("h_min_per_sample must be positive")
-    samples = n // bits_per_sample
-    if samples < 1:
-        raise ParameterError("an input block must hold a whole sample")
+    samples = block_samples(n, bits_per_sample)
     budget = math.floor(samples * h - 2.0 * math.log2(1.0 / epsilon))
     if budget <= 0:
         raise NoExtractableEntropyError(
             f"security deduction exhausts the {samples}-sample "
-            f"entropy budget at epsilon={epsilon}")
+            f"entropy budget at h_min={h} bits/sample, epsilon={epsilon}")
     return budget
 
 

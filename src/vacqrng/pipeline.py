@@ -72,7 +72,6 @@ class LoopSummary:
 @dataclass
 class RunResult:
     config: PipelineConfig
-    out_dir: Path
     loop: LoopSummary
     entropy: EntropyReport | None
     budget_bits: int | None
@@ -80,7 +79,6 @@ class RunResult:
     extracted_bits: int
     extract_seconds: float
     status: str
-    artifacts: dict[str, Path]
 
     def summary_text(self) -> str:
         cfg = self.config
@@ -169,8 +167,7 @@ def simulate_run(config: PipelineConfig, lo_off: bool = False) -> LoopRun:
         total = config.samples
     return run_closed_loop(params, chain, config.controller_config(),
                            max(1, total // config.block_size_n),
-                           adc=config.adc_spec(), dac=config.dac_spec(),
-                           frozen=lo_off)
+                           config.adc_spec(), frozen=lo_off)
 
 
 def select_centered(config: PipelineConfig, run: LoopRun) -> np.ndarray:
@@ -271,6 +268,9 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
     extract_seconds = 0.0
     try:
         measured = select_centered(config, run_on)
+        # Only the selection is read from here on: drop the run's own copy
+        # of every sample (2 B each) before extraction sets the peak.
+        del run_on
         entropy, budget = estimate_entropy(config, measured, noise)
         if config.extractor_m > budget:
             raise NoExtractableEntropyError(
@@ -297,8 +297,8 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
         # Statistical validation at whatever scale the output supports.
         verdict = suite_on_packed(packed, extracted_bits, config)
         if verdict is not None:
-            _write_json(out / "verdict.json",
-                        json.loads(verdict.to_json()), config)
+            _write_json(out / "verdict.json", dataclasses.asdict(verdict),
+                        config)
             artifacts["verdict"] = out / "verdict.json"
         else:
             status = "complete (too few bits for the statistical suite)"
@@ -308,11 +308,10 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
         raise
 
     _write_manifest(out, config, artifacts, status, extracted_bits)
-    result = RunResult(config=config, out_dir=out, loop=loop,
-                       entropy=entropy, budget_bits=budget, verdict=verdict,
+    result = RunResult(config=config, loop=loop, entropy=entropy,
+                       budget_bits=budget, verdict=verdict,
                        extracted_bits=extracted_bits,
-                       extract_seconds=extract_seconds,
-                       status=status, artifacts=artifacts)
+                       extract_seconds=extract_seconds, status=status)
     (out / "summary.txt").write_text(result.summary_text() + "\n")
     return result
 
@@ -324,9 +323,13 @@ def _write_manifest(out: Path, config: PipelineConfig,
     also carries its bit count, which its zero-padded bytes cannot."""
     entries = {}
     for name, path in artifacts.items():
-        data = path.read_bytes()
-        entries[name] = {"path": path.name, "bytes": len(data),
-                         "sha256": hashlib.sha256(data).hexdigest()}
+        # Hashed in fixed-size reads: an artifact is never held whole.
+        digest = hashlib.sha256()
+        with path.open("rb") as fh:
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+        entries[name] = {"path": path.name, "bytes": path.stat().st_size,
+                         "sha256": digest.hexdigest()}
     if "extracted" in entries:
         entries["extracted"]["bits"] = extracted_bits
     payload = {"status": status, "artifacts": entries}

@@ -1,10 +1,11 @@
-"""Stochastic signal chain: noise processes, phase actuation, quantization.
+"""Stochastic signal chain: noise processes and quantization.
 
 The detector output per sample is the deterministic homodyne difference at
 the current total phase plus two independent Gaussian terms: the quantum
 (vacuum) contribution, whose variance scales linearly with LO power, and
 classical electronic noise.  A slow wrapped random walk models the
-uncontrolled ambient phase drift between the arms.
+uncontrolled ambient phase drift between the arms.  The phase the DAC sets
+on the modulator is the controller's (`controller.dac_to_phase`).
 
 Default noise levels are calibrated so that at the 5 mW operating point the
 quantized output reproduces a measured variance of 1.86e5 LSB^2 with LO on
@@ -59,33 +60,6 @@ class AdcSpec:
     @property
     def max_code(self) -> int:
         return 2 ** self.bits - 1
-
-
-@dataclass
-class DacSpec:
-    """Digital-to-analog converter driving the phase modulator.
-
-    With v_range = 2*v_pi the full code range covers one 2*pi phase turn,
-    so code wraparound is a phase wrap.
-    """
-
-    bits: int = 14
-    v_range: float = 2.480
-
-    def __post_init__(self) -> None:
-        if not 4 <= self.bits <= 24:
-            raise ParameterError(f"DAC bits must be in [4, 24], got {self.bits}")
-        if self.v_range <= 0:
-            raise ParameterError("DAC v_range must be positive")
-
-
-def dac_to_phase(dac_data: int, dac: DacSpec, v_pi: float) -> float:
-    """Phase shift (rad) produced by a DAC code: pi * V_out / v_pi."""
-    if not 0 <= dac_data < 2 ** dac.bits:
-        raise ParameterError(
-            f"dac_data {dac_data} out of range [0, {2 ** dac.bits})")
-    voltage = dac_data * dac.v_range / 2 ** dac.bits
-    return math.pi * voltage / v_pi
 
 
 def adc_ideal_codes(v, adc: AdcSpec, out=None) -> np.ndarray:

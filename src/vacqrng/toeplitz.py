@@ -51,7 +51,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ParameterError
 
 _CHUNK_BLOCKS = 4096  # blocks hashed per extract_stream step; a multiple of 8
-_HELPERS = 1          # threads hashing chunks beside the caller's
 _WORD = np.dtype("<u8")
 
 
@@ -85,14 +84,13 @@ class ExtractorParams:
 
 @dataclass(frozen=True)
 class ToeplitzSeed:
-    """Seed bits (length m+n-1) plus a descriptor of where they came from.
+    """The m+n-1 seed bits that define an m x n Toeplitz matrix.
 
     The seed is fixed across all blocks of a run: the construction is a
     strong extractor, so seed reuse on independent inputs is sound.
     """
 
     bits: np.ndarray
-    origin: str = "unspecified"
 
     def __post_init__(self) -> None:
         bits = np.asarray(self.bits, dtype=np.uint8)
@@ -116,7 +114,7 @@ def generate_test_seed(params: ExtractorParams, seed_value: int) -> ToeplitzSeed
     """
     rng = np.random.default_rng(seed_value)
     bits = rng.integers(0, 2, size=params.seed_length, dtype=np.uint8)
-    return ToeplitzSeed(bits=bits, origin=f"test-generator(pcg64:{seed_value})")
+    return ToeplitzSeed(bits=bits)
 
 
 def toeplitz_matrix(seed: ToeplitzSeed, params: ExtractorParams) -> np.ndarray:
@@ -241,7 +239,7 @@ def extract_stream(centered_samples, seed: ToeplitzSeed,
     Blocks are hashed _CHUNK_BLOCKS at a time, packing only the samples
     each chunk covers, so working memory beyond the output does not grow
     with the stream; a stream of more than one chunk is hashed by the
-    caller's thread and _HELPERS helper threads.
+    caller's thread and one helper thread.
     """
     if not 1 <= bits_per_sample <= 16:
         raise ParameterError("bits_per_sample must be in [1, 16]")
@@ -290,11 +288,10 @@ def extract_stream(centered_samples, seed: ToeplitzSeed,
         return out
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=_HELPERS) as pool:
-        helpers = [pool.submit(hash_chunks, starts) for _ in range(_HELPERS)]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        helper = pool.submit(hash_chunks, starts)
         hash_chunks(starts)
-        for helper in helpers:
-            helper.result()
+        helper.result()
     return out
 
 
@@ -330,4 +327,4 @@ def load_seed(path, params: ExtractorParams) -> ToeplitzSeed:
     except OSError as exc:
         raise ParameterError(f"cannot read seed file {path}: {exc}") from exc
     bits = unpack_bits(data, params.seed_length)
-    return ToeplitzSeed(bits=bits, origin=f"file:{path}")
+    return ToeplitzSeed(bits=bits)

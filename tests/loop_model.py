@@ -58,12 +58,13 @@ class LoopChain:
 
     def __init__(self, config):
         params = config.device_params()
-        adc, dac = config.adc_spec(), config.dac_spec()
+        adc = config.adc_spec()
         self.n, self.step = config.block_size_n, config.step_c
         self.lower, self.upper = config.interval_a, config.interval_b
         self.invert = config.invert_loop
         self.mid_sum = self.n * adc.mid_code
-        self.rad_per_code = math.pi * dac.v_range / 2 ** dac.bits / params.v_pi
+        self.rad_per_code = (math.pi * config.dac_v_range
+                             / 2 ** config.dac_bits / params.v_pi)
         # homodyne_curve(params)(phi) = offset + amp * cos(phi)
         difference = homodyne_curve(params)
         d0, d_pi = difference(0.0), difference(math.pi)

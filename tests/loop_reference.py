@@ -19,7 +19,7 @@ import numpy as np
 from vacqrng.controller import ControllerConfig, LoopRun, center_codes, decide
 from vacqrng.errors import ParameterError
 from vacqrng.optics import DeviceParams, homodyne_curve
-from vacqrng.signal_chain import AdcSpec, DacSpec, SignalChainState
+from vacqrng.signal_chain import AdcSpec, SignalChainState
 
 
 @dataclass(frozen=True)
@@ -63,20 +63,17 @@ def process_block(codes: np.ndarray, cfg: ControllerConfig, dac: int,
 
 
 def run_per_block(params: DeviceParams, chain: SignalChainState,
-                  cfg: ControllerConfig, n_blocks: int,
-                  adc: AdcSpec | None = None, dac: DacSpec | None = None,
+                  cfg: ControllerConfig, n_blocks: int, adc: AdcSpec,
                   frozen: bool = False,
-                  initial: int | None = None,
                   ) -> tuple[list[SampleBlock], list[BlockRecord]]:
-    adc = adc or AdcSpec()
-    dac = dac or DacSpec()
     tau = cfg.block_size_n / adc.sample_rate
-    code = cfg.dac_init if initial is None else initial
+    code = cfg.dac_init
     difference = homodyne_curve(params)
     blocks: list[SampleBlock] = []
     trace: list[BlockRecord] = []
     for i in range(n_blocks):
-        phase = math.pi * (code * dac.v_range / 2 ** dac.bits) / params.v_pi
+        phase = (math.pi * (code * cfg.dac_v_range / 2 ** cfg.dac_bits_n)
+                 / params.v_pi)
         mean = difference(chain.delta_phi_ambient + phase)
         quantum = chain._rng.standard_normal(cfg.block_size_n)
         electronic = chain._rng.standard_normal(cfg.block_size_n)

@@ -158,8 +158,7 @@ def test_criterion_4_rejects_frozen_loop(default_run):
     chain = config.chain_state(config.stream_seeds()["lo_on"])
     run = run_closed_loop(config.device_params(), chain,
                           config.controller_config(), WINDOW_BLOCKS,
-                          adc=config.adc_spec(), dac=config.dac_spec(),
-                          frozen=True)
+                          config.adc_spec(), frozen=True)
     assert set(run.dac_before.tolist()) == {config.dac_init}
     failures = judge_lock_in(config, run).failures
     assert failures and failures[0].startswith("(a)")

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from vacqrng.errors import (ConfigError, DataError,
 from vacqrng.pipeline import (LoopSummary, run_pipeline, select_centered,
                               simulate_run, suite_on_packed)
 from vacqrng.optics import DeviceParams
-from vacqrng.signal_chain import AdcSpec, DacSpec, SignalChainState
+from vacqrng.signal_chain import AdcSpec, SignalChainState
 from vacqrng.stattests import run_suite
 from vacqrng.toeplitz import ExtractorParams, pack_bits, unpack_bits
 
@@ -106,6 +107,10 @@ class TestConfigValidation:
         with pytest.warns(UserWarning, match="2\\*v_pi"):
             parse_config_text("dac_v_range = 2.0\n")
 
+    def test_drift_warning_when_loop_cannot_keep_up(self):
+        with pytest.warns(UserWarning, match="drift per block"):
+            parse_config_text("drift_rate_std = 50\n")
+
     def test_interval_order(self):
         with pytest.raises((ConfigError, ParameterError)):
             parse_config_text("interval_a = 3000000\n")
@@ -113,10 +118,18 @@ class TestConfigValidation:
     @pytest.mark.parametrize("line, message", [
         ("adc_bits = 15", "ADC bits must be in \\[4, 14\\]"),
         ("p_lo = 1.0", "leftover-hash budget 1688"),
-        ("sequence_length = 120", "sequence_length >= 128")])
+        ("sequence_length = 120", "sequence_length >= 128"),
+        ("block_size_n = 1\nsamples = 1000\nnoise_samples = 1\np_lo = 0\n"
+         "interval_a = 0\ninterval_b = 1000000000",
+         "block_size_n must be >= 2"),
+        ("sigma_vac = 0\nextractor_n = 10\nextractor_m = 5",
+         "an input block must hold a whole sample")])
     def test_limits_rejected_at_load(self, tmp_path, capsys, line, message):
         # each failed only after the loops had run: the overflow scan in
-        # centering, admission of the measured h_min, the suite
+        # centering, admission of the measured h_min, the suite, the
+        # variance of one-sample blocks, admission of an extractor block
+        # narrower than a sample (the LO-off and silent-vacuum configs skip
+        # the load-time admission)
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         with pytest.raises(ConfigError, match=message):
@@ -202,7 +215,6 @@ class TestSeedsAndHash:
         config = PipelineConfig()
         assert config.device_params() == DeviceParams()
         assert config.adc_spec() == AdcSpec()
-        assert config.dac_spec() == DacSpec()
         assert config.controller_config() == ControllerConfig()
         assert config.extractor_params() == ExtractorParams()
         # the chain's generator compares by identity: compare init fields
@@ -218,9 +230,8 @@ class TestSeedsAndHash:
                                 epsilon_log2=20, sigma_e=0.01)
         assert config.adc_spec() == AdcSpec(bits=10, v_range=2.0,
                                             sample_rate=4e7)
-        assert config.dac_spec() == DacSpec(bits=12, v_range=3.0)
-        assert config.controller_config() == ControllerConfig(dac_bits_n=12,
-                                                              dac_init=7)
+        assert config.controller_config() == ControllerConfig(
+            dac_bits_n=12, dac_v_range=3.0, dac_init=7)
         assert config.extractor_params() == ExtractorParams(
             m=100, n=200, epsilon_log2=20)
         state = config.chain_state(5)
@@ -288,6 +299,25 @@ class TestPipeline:
             run_pipeline(config, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"].startswith("degenerate")
+
+    def test_manifest_hashes_in_bounded_memory(self, tmp_path):
+        # each artifact is hashed in fixed-size reads, never held whole
+        size = 32 << 20
+        artifact = tmp_path / "centered.i16"
+        with artifact.open("wb") as fh:
+            fh.truncate(size)
+        tracemalloc.start()
+        try:
+            pipeline._write_manifest(tmp_path, PipelineConfig(),
+                                     {"centered": artifact}, "complete", 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["artifacts"]["centered"] == {
+            "path": "centered.i16", "bytes": size,
+            "sha256": hashlib.sha256(bytes(size)).hexdigest()}
 
     def test_loop_summary(self):
         config = PipelineConfig(**QUICK)

@@ -1,4 +1,4 @@
-"""Feedback controller: decision rules, centering, closed-loop behavior."""
+"""Feedback controller: DAC phase, decisions, centering, the closed loop."""
 
 import math
 import sys
@@ -12,7 +12,8 @@ import pytest
 from vacqrng import controller
 from vacqrng.config import PipelineConfig
 from vacqrng.controller import (CHUNK_BLOCKS, ControllerConfig, LoopRun,
-                                center_codes, decide, run_closed_loop)
+                                center_codes, dac_to_phase, decide,
+                                run_closed_loop)
 from vacqrng.errors import ParameterError
 from vacqrng.optics import DeviceParams, homodyne_curve
 from vacqrng.signal_chain import AdcSpec, SignalChainState, block_noise_width
@@ -37,6 +38,25 @@ def oracle_decide(sum_value: int, cfg: ControllerConfig, dac: int) -> int:
             return c
         return (dac + c) % 2 ** n  # n-bit register addition
     return dac
+
+
+class TestDacToPhase:
+    def test_zero_code(self):
+        assert dac_to_phase(0, CFG, 1.240) == 0.0
+
+    def test_half_scale_is_pi(self):
+        # 8192/16384 * 2.480 V = 1.240 V = v_pi
+        assert dac_to_phase(8192, CFG, 1.240) == pytest.approx(math.pi)
+
+    def test_three_quarter_scale(self):
+        assert dac_to_phase(12288, CFG, 1.240) == pytest.approx(
+            3 * math.pi / 2)
+
+    def test_out_of_range_code(self):
+        with pytest.raises(ParameterError):
+            dac_to_phase(16384, CFG, 1.240)
+        with pytest.raises(ParameterError):
+            dac_to_phase(-1, CFG, 1.240)
 
 
 class TestDecide:
@@ -191,7 +211,7 @@ class TestClosedLoop:
         try:
             run_closed_loop(config.device_params(), chain,
                             config.controller_config(), n_blocks,
-                            adc=config.adc_spec(), dac=config.dac_spec())
+                            config.adc_spec())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -200,7 +220,7 @@ class TestClosedLoop:
     def test_noiseless_symmetric_device_locks_immediately(self):
         chain = SignalChainState(sigma_vac=0.0, sigma_e=0.0,
                                  drift_rate_std=0.0, rng_seed=1)
-        run = run_closed_loop(symmetric_params(), chain, CFG, 50)
+        run = run_closed_loop(symmetric_params(), chain, CFG, 50, AdcSpec())
         assert run.locked.all()
         assert np.all(run.dac_after == CFG.dac_init)
         assert np.all(run.sums == 2048000)
@@ -210,7 +230,7 @@ class TestClosedLoop:
         # low-noise configuration so the hold behavior is observable
         chain = SignalChainState(sigma_vac=0.002, sigma_e=0.0005,
                                  drift_rate_std=0.0, rng_seed=21)
-        run = run_closed_loop(DeviceParams(), chain, CFG, 800)
+        run = run_closed_loop(DeviceParams(), chain, CFG, 800, AdcSpec())
         first = run.first_locked()
         assert first < 700
         assert np.mean(run.locked[first:]) > 0.99
@@ -219,7 +239,7 @@ class TestClosedLoop:
         chain = SignalChainState(sigma_vac=0.002, sigma_e=0.0005,
                                  drift_rate_std=0.0, rng_seed=22)
         params = DeviceParams()
-        run = run_closed_loop(params, chain, CFG, 800)
+        run = run_closed_loop(params, chain, CFG, 800, AdcSpec())
         dac = int(run.dac_after[-1])
         phase = math.pi * dac * 2.480 / (2 ** 14 * 1.240)
         assert phase == pytest.approx(balance_phase(params), abs=0.01)
@@ -229,11 +249,12 @@ class TestClosedLoop:
         chain = SignalChainState(sigma_vac=0.002, sigma_e=0.0005,
                                  drift_rate_std=0.0, rng_seed=23)
         params = DeviceParams()
-        run = run_closed_loop(params, chain, CFG, 800)
+        run = run_closed_loop(params, chain, CFG, 800, AdcSpec())
         assert run.locked[-1]
         settled = int(run.dac_after[-1])
         chain.delta_phi_ambient += 0.3
-        run2 = run_closed_loop(params, chain, CFG, 400, initial=settled)
+        run2 = run_closed_loop(params, chain, replace(CFG, dac_init=settled),
+                               400, AdcSpec())
         phase_per_step = 2 * math.pi * CFG.step_c / 2 ** CFG.dac_bits_n
         budget = math.ceil(0.3 / phase_per_step) + 40
         relock = run2.first_locked()
@@ -255,38 +276,31 @@ class TestClosedLoop:
     def test_one_block_actuation_latency(self):
         # dac_before of block k+1 equals dac_after of block k
         chain = SignalChainState(rng_seed=31)
-        run = run_closed_loop(DeviceParams(), chain, CFG, 100)
+        run = run_closed_loop(DeviceParams(), chain, CFG, 100, AdcSpec())
         assert np.array_equal(run.dac_before[1:], run.dac_after[:-1])
 
     def test_frozen_loop_for_noise_runs(self):
         chain = SignalChainState(rng_seed=32)
         params = replace(DeviceParams(), p_lo=0.0)
-        run = run_closed_loop(params, chain, CFG, 100, frozen=True)
+        run = run_closed_loop(params, chain, CFG, 100, AdcSpec(), frozen=True)
         assert np.all(run.dac_after == CFG.dac_init)
-
-    def test_drift_warning_when_loop_cannot_keep_up(self):
-        chain = SignalChainState(drift_rate_std=50.0, rng_seed=33)
-        with pytest.warns(UserWarning, match="drift per block"):
-            run_closed_loop(DeviceParams(), chain, CFG, 2)
 
 
 RUN_FIELDS = ("centered", "sums", "dac_before", "dac_after", "locked",
               "saturated")
 
 
-def _loop_pair(config: PipelineConfig, n_blocks: int, lo_off: bool = False,
-               **kwargs):
+def _loop_pair(config: PipelineConfig, n_blocks: int, lo_off: bool = False):
     """Run the array loop and the per-block oracle on twin chains."""
     seed = config.stream_seeds()["lo_off" if lo_off else "lo_on"]
     params = config.device_params()
     if lo_off:
         params = replace(params, p_lo=0.0)
     chains = [config.chain_state(seed) for _ in range(2)]
-    common = dict(adc=config.adc_spec(), dac=config.dac_spec(),
-                  frozen=lo_off, **kwargs)
-    cfg = config.controller_config()
-    run = run_closed_loop(params, chains[0], cfg, n_blocks, **common)
-    blocks, trace = run_per_block(params, chains[1], cfg, n_blocks, **common)
+    cfg, adc = config.controller_config(), config.adc_spec()
+    run = run_closed_loop(params, chains[0], cfg, n_blocks, adc, frozen=lo_off)
+    blocks, trace = run_per_block(params, chains[1], cfg, n_blocks, adc,
+                                  frozen=lo_off)
     return (run, *as_loop_run(blocks, trace, cfg.block_size_n), chains)
 
 
@@ -341,14 +355,13 @@ class TestArrayLoopMatchesPerBlockOracle:
         config = PipelineConfig()
         first, *ref_first, chains = _loop_pair(config, 90)
         _assert_same_run(first, *ref_first, chains)
-        initial = int(first.dac_after[-1])
-        cfg = config.controller_config()
+        # the second run starts where the first one left the DAC
+        cfg = replace(config.controller_config(),
+                      dac_init=int(first.dac_after[-1]))
         run = run_closed_loop(config.device_params(), chains[0], cfg, 100,
-                              adc=config.adc_spec(), dac=config.dac_spec(),
-                              initial=initial)
-        blocks, trace = run_per_block(
-            config.device_params(), chains[1], cfg, 100,
-            adc=config.adc_spec(), dac=config.dac_spec(), initial=initial)
+                              config.adc_spec())
+        blocks, trace = run_per_block(config.device_params(), chains[1], cfg,
+                                      100, config.adc_spec())
         _assert_same_run(run, *as_loop_run(blocks, trace, 1000), chains)
 
     def test_concurrent_runs_under_fast_thread_switching(self):
@@ -364,8 +377,7 @@ class TestArrayLoopMatchesPerBlockOracle:
 
         def work(seed):
             runs[seed] = run_closed_loop(params, config.chain_state(seed), cfg,
-                                         n_blocks, adc=config.adc_spec(),
-                                         dac=config.dac_spec())
+                                         n_blocks, config.adc_spec())
 
         threads = [threading.Thread(target=work, args=(s,)) for s in seeds]
         interval = sys.getswitchinterval()
@@ -380,9 +392,7 @@ class TestArrayLoopMatchesPerBlockOracle:
         assert not any(t.is_alive() for t in threads)
         for seed in seeds:
             blocks, trace = run_per_block(params, config.chain_state(seed),
-                                          cfg, n_blocks,
-                                          adc=config.adc_spec(),
-                                          dac=config.dac_spec())
+                                          cfg, n_blocks, config.adc_spec())
             ref, ref_codes = as_loop_run(blocks, trace, cfg.block_size_n)
             for name in RUN_FIELDS:
                 assert np.array_equal(getattr(runs[seed], name),
@@ -402,7 +412,7 @@ class TestArrayLoopMatchesPerBlockOracle:
         with pytest.raises(ParameterError, match="overflow"):
             run_closed_loop(config.device_params(), config.chain_state(1),
                             config.controller_config(), 4 * CHUNK_BLOCKS,
-                            adc=config.adc_spec(), dac=config.dac_spec())
+                            config.adc_spec())
         assert threading.active_count() == threads
 
 
@@ -420,3 +430,18 @@ class TestConfigValidation:
     def test_dac_init_range(self):
         with pytest.raises(ParameterError):
             ControllerConfig(dac_init=2 ** 14)
+
+    def test_dac_width_and_range(self):
+        # the width is checked before the code ranges that are powers of it
+        with pytest.raises(ParameterError, match="DAC bits must be in"):
+            ControllerConfig(dac_bits_n=3)
+        with pytest.raises(ParameterError, match="DAC bits must be in"):
+            ControllerConfig(dac_bits_n=10 ** 9)
+        with pytest.raises(ParameterError, match="v_range"):
+            ControllerConfig(dac_v_range=0.0)
+
+    def test_block_needs_two_samples(self):
+        # a one-sample block centers to 0
+        with pytest.raises(ParameterError, match="block_size_n must be >= 2"):
+            ControllerConfig(block_size_n=1)
+        ControllerConfig(block_size_n=2)

@@ -106,6 +106,12 @@ class TestExtractorBudget:
         with pytest.raises(NoExtractableEntropyError):
             budget(0.4, 200, 2.0 ** -48)
 
+    def test_h_min_at_or_below_zero_exhausts_budget(self):
+        # a measured shortfall even at epsilon = 1, not a parameter error
+        for h_min in (0.004, 0.0, -3.0):
+            with pytest.raises(NoExtractableEntropyError):
+                budget(h_min, 200, 1.0)
+
     def test_never_exceeds_raw_bits(self):
         rng = np.random.default_rng(8)
         for _ in range(200):

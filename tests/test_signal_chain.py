@@ -1,4 +1,4 @@
-"""Noise processes, DAC phase actuation, and ADC quantization."""
+"""Noise processes and ADC quantization."""
 
 import math
 
@@ -7,9 +7,8 @@ import pytest
 
 from vacqrng.errors import ParameterError
 from vacqrng.optics import DeviceParams, homodyne_curve
-from vacqrng.signal_chain import (AdcSpec, DacSpec, SignalChainState,
-                                  adc_clip, adc_ideal_codes,
-                                  block_noise_width, dac_to_phase,
+from vacqrng.signal_chain import (AdcSpec, SignalChainState, adc_clip,
+                                  adc_ideal_codes, block_noise_width,
                                   detector_volts, draw_block_noise,
                                   drift_phase, scale_block_noise)
 from tests.test_optics import symmetric_params
@@ -35,25 +34,6 @@ def block_volts(params: DeviceParams, state: SignalChainState,
     quantum, electronic, _ = draw_blocks(params, state, 1, n)
     mean = homodyne_curve(params)(state.delta_phi_ambient + phase_control)
     return detector_volts(mean, quantum[0], electronic[0])
-
-
-class TestDacToPhase:
-    def test_zero_code(self):
-        assert dac_to_phase(0, DacSpec(), 1.240) == 0.0
-
-    def test_half_scale_is_pi(self):
-        # 8192/16384 * 2.480 V = 1.240 V = v_pi
-        assert dac_to_phase(8192, DacSpec(), 1.240) == pytest.approx(math.pi)
-
-    def test_three_quarter_scale(self):
-        assert dac_to_phase(12288, DacSpec(), 1.240) == pytest.approx(
-            3 * math.pi / 2)
-
-    def test_out_of_range_code(self):
-        with pytest.raises(ParameterError):
-            dac_to_phase(16384, DacSpec(), 1.240)
-        with pytest.raises(ParameterError):
-            dac_to_phase(-1, DacSpec(), 1.240)
 
 
 class TestAdcQuantize:
@@ -95,8 +75,6 @@ class TestAdcQuantize:
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
             AdcSpec(bits=2)
-        with pytest.raises(ParameterError):
-            DacSpec(v_range=0.0)
 
 
 class TestDetectorSamples:

@@ -400,7 +400,6 @@ class TestPackedBits:
         save_seed(path, seed)
         loaded = load_seed(path, params)
         assert np.array_equal(loaded.bits, seed.bits)
-        assert str(path) in loaded.origin
 
     def test_seed_file_wrong_length(self, tmp_path):
         params = ExtractorParams(m=10, n=20)
