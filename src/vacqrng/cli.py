@@ -9,7 +9,7 @@ Subcommands:
   paper-repro  full pipeline; prints a comparison with the reference run
 
 The commands share `vacqrng.pipeline`'s stages: one admission rule (also
-run at validation), one LO-off rule and one extraction stage.
+run when a config is built), one LO-off rule and one extraction stage.
 
 Exit codes: 0 success, 2 configuration/parameter errors, 3 data errors
 (e.g. no extractable entropy).
@@ -71,20 +71,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> PipelineConfig:
-    config = load_config(args.config) if args.config else PipelineConfig()
-    if args.seed is not None:
-        config.master_seed = args.seed
-    if args.samples is not None:
-        config.samples = args.samples
-    if args.blocks is not None:
-        config.samples = args.blocks * config.block_size_n
-    config.validate()
-    return config
-
-
-def _cmd_simulate(args) -> int:
-    config = _load(args)
+def _cmd_simulate(args, config: PipelineConfig) -> int:
     run = simulate_run(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -96,8 +83,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_estimate(args) -> int:
-    config = _load(args)
+def _cmd_estimate(args, config: PipelineConfig) -> int:
     # LO off first: at 2e7 + 4e6 samples repeated in-process calls hold
     # their peak RSS at 124-125 MB, where LO on first starts at 114 MB
     # and creeps to 131 MB by the sixth call.
@@ -120,8 +106,7 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_extract(args) -> int:
-    config = _load(args)
+def _cmd_extract(args, config: PipelineConfig) -> int:
     samples = select_centered(config, simulate_run(config))
     seed, packed, n_bits = extract_measured(config, samples)
     out = Path(args.out)
@@ -133,8 +118,7 @@ def _cmd_extract(args) -> int:
     return 0
 
 
-def _cmd_test(args) -> int:
-    config = _load(args)
+def _cmd_test(args, config: PipelineConfig) -> int:
     if args.bits is not None:
         packed, n_bits = read_packed(args.bits)
     else:
@@ -152,10 +136,10 @@ def _cmd_test(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, config: PipelineConfig) -> int:
     """`all` and `paper-repro`: the full pipeline; they differ only in
     what they print."""
-    result = run_pipeline(_load(args), args.out)
+    result = run_pipeline(config, args.out)
     print(paper_repro_table(result) if args.command == "paper-repro"
           else result.summary_text())
     return 0
@@ -173,8 +157,12 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    overrides = {key: value for key, value in
+                 (("master_seed", args.seed), ("samples", args.samples))
+                 if value is not None}
     try:
-        return _HANDLERS[args.command](args)
+        config = load_config(args.config, args.blocks, **overrides)
+        return _HANDLERS[args.command](args, config)
     except (ConfigError, ParameterError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

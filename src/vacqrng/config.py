@@ -1,5 +1,8 @@
 """Pipeline configuration: defaults, file loading, validation, seeds.
 
+A PipelineConfig is checked once, when it is built, and cannot change
+afterwards; overrides, such as the command line's, apply before that.
+
 The config file is a flat, human-readable `key = value` format; `#` starts
 a comment and blank lines are ignored.  Every omitted key takes the
 default operating point of the reference device (device losses and gains,
@@ -26,13 +29,15 @@ from .errors import ConfigError, NoExtractableEntropyError, ParameterError
 from .optics import DeviceParams
 from .signal_chain import (SIGMA_E_CALIBRATED, SIGMA_VAC_CALIBRATED,
                            AdcSpec, SignalChainState)
-from .stattests import MIN_SEQUENCE_LENGTH
+from .stattests import MIN_SEQUENCE_LENGTH, pass_proportion_interval
 from .toeplitz import ExtractorParams
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Every knob of an end-to-end run, with reference-device defaults."""
+    """Every knob of an end-to-end run, with reference-device defaults;
+    checked once, when it is built (ConfigError on a hard violation), and
+    frozen from then on."""
 
     # optics
     eta_ab1_db: float = 3.80
@@ -134,11 +139,11 @@ class PipelineConfig:
         sigma_e_sq = self.sigma_e ** 2 / lsb ** 2 + 1 / 12
         return min_entropy(sigma_m_sq, sigma_e_sq)
 
-    def validate(self) -> None:
-        """Cross-field consistency; raises ConfigError on hard violations."""
+    def __post_init__(self) -> None:
         # Constructing the typed views runs each component's own checks,
-        # and an extractor block must hold a whole sample whatever the
-        # noise; a value one of them rejects is a configuration error.
+        # an extractor block must hold a whole sample whatever the noise,
+        # and the suite's band needs 0 < beta < 1 and a sequence; a value
+        # one of them rejects is a configuration error.
         try:
             self.device_params()
             adc = self.adc_spec()
@@ -146,6 +151,7 @@ class PipelineConfig:
             extractor = self.extractor_params()
             self.chain_state(0)
             block_samples(self.extractor_n, self.adc_bits)
+            pass_proportion_interval(self.beta, self.n_sequences)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -154,10 +160,10 @@ class PipelineConfig:
                 f"DAC range {self.dac_v_range} V != 2*v_pi = "
                 f"{2 * self.v_pi} V: code wraparound will not be an exact "
                 "phase wrap",
-                stacklevel=2)
+                stacklevel=3)
         if self.block_size_n * adc.max_code < self.interval_b:
             warnings.warn("decision interval lies above the largest possible "
-                          "block sum", stacklevel=2)
+                          "block sum", stacklevel=3)
         phase_per_step = 2 * math.pi * self.step_c / 2 ** self.dac_bits
         drift_per_tau = self.drift_rate_std * math.sqrt(
             self.block_size_n / self.sample_rate)
@@ -165,7 +171,7 @@ class PipelineConfig:
             warnings.warn(
                 f"drift per block ({drift_per_tau:.2e} rad) is not small "
                 f"against the correction step ({phase_per_step:.2e} rad); the "
-                "loop may not keep up", stacklevel=2)
+                "loop may not keep up", stacklevel=3)
         # A run simulates whole blocks; it never drops a partial one.
         for name in ("samples", "noise_samples"):
             count = getattr(self, name)
@@ -174,11 +180,9 @@ class PipelineConfig:
             if count % self.block_size_n:
                 raise ConfigError(f"{name} = {count} is not a multiple of "
                                   f"block_size_n = {self.block_size_n}")
-        if not 0 < self.beta < 1:
-            raise ConfigError("beta must be in (0, 1)")
-        if self.sequence_length < MIN_SEQUENCE_LENGTH or self.n_sequences < 1:
-            raise ConfigError(f"suite needs sequence_length >= "
-                              f"{MIN_SEQUENCE_LENGTH} and n_sequences >= 1")
+        if self.sequence_length < MIN_SEQUENCE_LENGTH:
+            raise ConfigError(
+                f"suite needs sequence_length >= {MIN_SEQUENCE_LENGTH}")
         if self.master_seed < 0 or self.master_seed > 2 ** 64 - 1:
             raise ConfigError("master_seed must fit in 64 bits")
 
@@ -234,8 +238,11 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"field {key!r}: {exc}") from exc
 
 
-def parse_config_text(text: str) -> PipelineConfig:
-    """Parse `key = value` lines into a validated PipelineConfig."""
+def parse_config_text(text: str, blocks: int | None = None,
+                      **overrides) -> PipelineConfig:
+    """Parse `key = value` lines into a PipelineConfig; `overrides` replace
+    parsed fields, and `blocks` sets `samples` to that many blocks of the
+    resulting `block_size_n`."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -248,19 +255,22 @@ def parse_config_text(text: str) -> PipelineConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown field {key!r}")
         values[key] = _parse_value(key, raw)
-    try:
-        config = PipelineConfig(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    config.validate()
-    return config
+    values.update(overrides)
+    if blocks is not None:
+        values["samples"] = blocks * values.get(
+            "block_size_n", PipelineConfig.block_size_n)
+    return PipelineConfig(**values)
 
 
-def load_config(path) -> PipelineConfig:
-    """Load and validate a config file; an empty file yields the defaults."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text)
+def load_config(path=None, blocks: int | None = None,
+                **overrides) -> PipelineConfig:
+    """Load a config file with parse_config_text's overrides; no path or
+    an empty file yields the defaults."""
+    text = ""
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config_text(text, blocks, **overrides)

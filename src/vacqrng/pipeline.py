@@ -166,7 +166,7 @@ def simulate_run(config: PipelineConfig, lo_off: bool = False) -> LoopRun:
         chain = config.chain_state(seeds["lo_on"])
         total = config.samples
     return run_closed_loop(params, chain, config.controller_config(),
-                           max(1, total // config.block_size_n),
+                           total // config.block_size_n,
                            config.adc_spec(), frozen=lo_off)
 
 
@@ -241,7 +241,6 @@ def suite_on_packed(packed: np.ndarray, n_bits: int,
 
 def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
     """Execute every stage and write all artifacts under out_dir."""
-    config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
@@ -272,6 +271,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
         # of every sample (2 B each) before extraction sets the peak.
         del run_on
         entropy, budget = estimate_entropy(config, measured, noise)
+        del noise
         if config.extractor_m > budget:
             raise NoExtractableEntropyError(
                 f"measured h_min {entropy.h_min_per_sample:.3f} bits/sample "
@@ -288,6 +288,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
         # Extraction reads the blocks the estimate was made on.
         t0 = time.perf_counter()
         seed, packed, extracted_bits = extract_measured(config, measured)
+        del measured
         extract_seconds = time.perf_counter() - t0
         save_seed(out / "extractor_seed.bin", seed)
         artifacts["extractor_seed"] = out / "extractor_seed.bin"

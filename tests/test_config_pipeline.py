@@ -7,7 +7,8 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields, replace
+import warnings
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,8 +101,17 @@ class TestConfigValidation:
             parse_config_text("extractor_m = 1925\nextractor_n = 2410\n")
 
     def test_default_geometry_admitted(self):
-        PipelineConfig().validate()
-        PipelineConfig(extractor_m=1920, extractor_n=2410).validate()
+        PipelineConfig()
+        PipelineConfig(extractor_m=1920, extractor_n=2410)
+
+    def test_checked_once_when_built(self):
+        # a config is checked when it is built and cannot change after
+        config = PipelineConfig()
+        with pytest.raises(FrozenInstanceError):
+            config.samples = 1500
+        assert config.samples == 10_000_000
+        with pytest.raises(ConfigError, match="^samples = 1500 is not"):
+            PipelineConfig(samples=1500)
 
     def test_dac_range_warning(self):
         with pytest.warns(UserWarning, match="2\\*v_pi"):
@@ -143,8 +153,9 @@ class TestConfigValidation:
         # the default is what the benchmark checks measured entropy against
         assert PipelineConfig().expected_h_min() == 10.077575192548618
         # var_Q scales with p_lo / p_ref: a quarter of the power is one bit
-        assert PipelineConfig(p_lo=1.25).expected_h_min() == pytest.approx(
-            10.077575192548618 - 1.0, abs=1e-9)
+        # (at that power the budget is 1720 bits, below the default m)
+        assert PipelineConfig(p_lo=1.25, extractor_m=1600).expected_h_min() \
+            == pytest.approx(10.077575192548618 - 1.0, abs=1e-9)
 
     def test_samples_must_cover_block(self):
         with pytest.raises(ConfigError):
@@ -204,7 +215,7 @@ class TestSeedsAndHash:
         assert PipelineConfig().config_hash() \
             == PipelineConfig().config_hash()
         assert PipelineConfig().config_hash() \
-            != PipelineConfig(p_lo=4.9).config_hash()
+            != PipelineConfig(p_lo=5.1).config_hash()
 
     def test_default_config_format_pinned(self):
         # config.txt of the defaults, whose hash every JSON artifact embeds
@@ -224,14 +235,18 @@ class TestSeedsAndHash:
                 == [getattr(default, name) for name in names])
 
     def test_views_take_prefixed_fields(self):
+        # a consistent operating point: 2 * v_pi = dac_v_range and an
+        # interval a 10-bit block can reach, so construction warns of none
         config = PipelineConfig(adc_bits=10, adc_v_range=2.0, sample_rate=4e7,
                                 dac_bits=12, dac_v_range=3.0, dac_init=7,
+                                v_pi=1.5, interval_a=510000, interval_b=513000,
                                 extractor_m=100, extractor_n=200,
                                 epsilon_log2=20, sigma_e=0.01)
         assert config.adc_spec() == AdcSpec(bits=10, v_range=2.0,
                                             sample_rate=4e7)
         assert config.controller_config() == ControllerConfig(
-            dac_bits_n=12, dac_v_range=3.0, dac_init=7)
+            interval_a=510000, interval_b=513000, dac_bits_n=12,
+            dac_v_range=3.0, dac_init=7)
         assert config.extractor_params() == ExtractorParams(
             m=100, n=200, epsilon_log2=20)
         state = config.chain_state(5)
@@ -390,6 +405,47 @@ class TestCli:
         centered = np.frombuffer(
             (tmp_path / "sim" / "centered.i16").read_bytes(), dtype="<i2")
         assert centered.size == 50_000
+
+    def test_blocks_flag_counts_file_blocks(self, tmp_path, capsys):
+        # --blocks counts blocks of the file's block_size_n; the interval
+        # is the default one scaled to 500-sample blocks, so none warns
+        cfg = tmp_path / "half.cfg"
+        cfg.write_text("block_size_n = 500\n"
+                       "interval_a = 1021500\ninterval_b = 1026500\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--blocks", "4",
+                     "--out", str(out)]) == 0
+        assert (out / "centered.i16").stat().st_size == 2 * 2_000
+
+    def test_flags_apply_before_the_check(self, tmp_path, capsys):
+        # the effective config is the one checked: a file count that a
+        # flag replaces is never checked on its own
+        cfg = tmp_path / "odd.cfg"
+        cfg.write_text("samples = 1500\n")
+        with pytest.raises(ConfigError, match="^samples = 1500 is not"):
+            load_config(cfg)
+        assert load_config(cfg, samples=2000).samples == 2000
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--samples", "2000",
+                     "--out", str(out)]) == 0
+        assert (out / "centered.i16").stat().st_size == 2 * 2_000
+
+    @pytest.mark.parametrize("flags", [["all", "--seed", "3"],
+                                       ["simulate", "--blocks", "4"]])
+    def test_load_time_warning_once(self, tmp_path, capsys, flags):
+        # each command builds, and so checks, its config once
+        cfg = tmp_path / "dac.cfg"
+        cfg.write_text("samples = 200000\nnoise_samples = 100000\n"
+                       "sequence_length = 100000\nn_sequences = 2\n"
+                       # the balance code 5182 of 2.480 V, at 2.0 V
+                       "dac_v_range = 2.0\ndac_init = 6426\n")
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main([*flags, "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert [str(w.message) for w in seen] == [
+            "DAC range 2.0 V != 2*v_pi = 2.48 V: code wraparound will not "
+            "be an exact phase wrap"]
 
     def test_one_parser_serves_every_call(self, tmp_path, capsys):
         parser = cli._parser()
