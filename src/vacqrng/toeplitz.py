@@ -12,25 +12,22 @@ Two multiplication strategies are provided: a dense matrix-vector oracle
 (reference), and a fast path in the "Method of Four Russians" style
 (Albrecht, Bard & Hart, ACM TOMS 37(1), 2010).  The fast path packs each
 input block into bytes and looks up, for every byte position p, the XOR of
-the eight matrix columns 8p..8p+7 that the byte's set bits select, from a
-table of all 256 such XORs per position built once from the seed.  The
-output is the XOR of those looked-up rows, each holding the m output bits
-packed into 64-bit words.  Only XORs of bits are computed, so the fast
-path is exact by construction and bit-identical to the oracle.
+the eight matrix columns 8p..8p+7 that the byte's set bits select.  Along
+a Toeplitz matrix those 256 XORs only shift, by one byte per position, so
+one table of the seed's 256 byte products serves every position through a
+moving window.  The output is the XOR of the looked-up windows, packed
+into 64-bit words; only XORs of bits are computed, so the fast path is
+exact by construction and bit-identical to the oracle.
 
 `extract_stream` hashes a sample stream with one path for every geometry
 (any n and m, 1..16 bits per sample, blocks that start inside a sample or
-a byte), in the byte domain throughout: per chunk of _CHUNK_BLOCKS blocks
-it packs the low bits of the samples the chunk covers straight into bytes
-(ORing whole uint64 words), takes each block's bytes from that buffer
-with one shifted read of byte pairs, hashes, and writes the output into
-its slice of the packed result: the first m/8 bytes of each accumulator
-row when m % 8 == 0, else the m-bit rows unpacked and repacked end to
-end.  No array holds one byte per bit of the input samples; only the
-m % 8 != 0 output unpacks to one byte per bit.  Chunks are taken from
-one shared iterator by the caller's thread and one helper thread, started
-only when the stream spans more than one chunk; a one-chunk call starts
-no thread.  The helper calls only private functions.
+a byte), _CHUNK_BLOCKS blocks at a time in the byte domain: it packs the
+chunk's samples straight into bytes, takes each block's bytes with one
+shifted read, hashes them and writes the output into its slice of the
+packed result.  No array holds one byte per input bit.  The caller's
+thread and one helper thread, started only when the stream spans more
+than one chunk, take chunks from one shared iterator.  The helper calls
+only private functions.
 
 Bit conventions, fixed for all stream and file formats:
   * samples enter the input block least-significant-bit first, samples in
@@ -127,7 +124,11 @@ def toeplitz_matrix(seed: ToeplitzSeed, params: ExtractorParams) -> np.ndarray:
 def extract_block_dense(block_bits: np.ndarray, seed: ToeplitzSeed,
                         params: ExtractorParams) -> np.ndarray:
     """Reference path: materialize the matrix and multiply mod 2."""
-    x = _check_block(block_bits, params)
+    x = np.asarray(block_bits, dtype=np.uint8)
+    if x.ndim != 1 or len(x) != params.n:
+        raise ParameterError(f"input block must be {params.n} bits, got {x.shape}")
+    if np.any(x > 1):
+        raise ParameterError("input bits must be 0/1")
     matrix = toeplitz_matrix(seed, params)
     return (matrix.astype(np.int64) @ x.astype(np.int64) % 2).astype(np.uint8)
 
@@ -135,46 +136,42 @@ def extract_block_dense(block_bits: np.ndarray, seed: ToeplitzSeed,
 def _hash(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
     """(k, ceil(n/8)) block bytes in, (k, ceil(m/64)) uint64 words out.
 
-    Byte p of a block selects row table[p, x[p]]; the XOR of the selected
-    rows over all byte positions is the block's output, m bits packed
-    LSB-first into little-endian words.
+    Byte p of a block selects row x[p] of the shift table, read from byte
+    (n-1)//8 - p on; the XOR of those windows over all byte positions is
+    the block's output: m bits LSB-first in little-endian words, followed
+    by bits that are not zero and that callers drop.
     """
-    # Position-major bytes, so each gather reads one contiguous index row.
+    # Position-major bytes, so each gather reads one contiguous index row;
+    # the last position reads its window from byte 0.
     x = np.ascontiguousarray(blocks.T)
-    acc = np.zeros((blocks.shape[0], table.shape[2]), dtype=_WORD)
-    for p in range(x.shape[0]):
-        acc ^= table[p].take(x[p], axis=0)
+    width = table.shape[1] - len(x) + 1
+    acc = np.zeros((len(blocks), width // 8), dtype=_WORD)
+    for at, byte in enumerate(x[::-1]):
+        acc ^= table[:, at:at + width].take(byte, axis=0).view(_WORD)
     return acc
 
 
 def _byte_table(seed: ToeplitzSeed, params: ExtractorParams) -> np.ndarray:
-    """T[p, v]: XOR of the matrix columns 8p..8p+7 that byte value v selects.
+    """R[v]: the seed's product with byte value v, as (n-1)//8 + 8*ceil(m/64)
+    little-endian bytes.
 
-    Shape (ceil(n/8), 256, ceil(m/64)); each entry holds the m output bits
-    packed LSB-first into little-endian uint64 words.  Column j of the
-    matrix is seed[n-1-j : n-1-j+m], so the length-m seed windows in
-    reverse order are the columns; columns past n and bits past m are 0.
+    With c = (n-1) % 8, bit u of R[v] is the XOR of seed[c + u - b] over
+    the set bits b of v, seed bits out of range read as 0.  Column j of
+    the matrix is seed[n-1-j : n-1-j+m], so the columns 8p..8p+7 that v
+    selects are the window of R[v] from bit 8((n-1)//8 - p) on.
     """
     seed.check_length(params)
-    m, n = params.m, params.n
-    positions, words = -(-n // 8), -(-m // 64)
-    columns = np.zeros((8 * positions, 8 * words), dtype=np.uint8)
-    columns[:n, :-(-m // 8)] = np.packbits(
-        sliding_window_view(seed.bits, m)[::-1], axis=1, bitorder="little")
-    columns = columns.view(_WORD).reshape(positions, 8, words)
-    table = np.zeros((positions, 256, words), dtype=_WORD)
+    top, c = divmod(params.n - 1, 8)
+    width = top + 8 * -(-params.m // 64)
+    padded = np.zeros(8 * width + 8, dtype=np.uint8)
+    padded[8 - c:8 - c + seed.bits.size] = seed.bits
+    # shifted[b] = R[1 << b], padded read from bit 8 - b on.
+    shifted = np.packbits(sliding_window_view(padded, 8 * width)[8:0:-1],
+                          axis=1, bitorder="little")
+    table = np.zeros((256, width), dtype=np.uint8)
     for b in range(8):
-        table[:, 1 << b:2 << b] = table[:, :1 << b] ^ columns[:, b, None]
+        table[1 << b:2 << b] = table[:1 << b] ^ shifted[b]
     return table
-
-
-def _check_block(block_bits, params: ExtractorParams) -> np.ndarray:
-    x = np.asarray(block_bits, dtype=np.uint8)
-    if x.ndim != 1 or len(x) != params.n:
-        raise ParameterError(f"input block must be {params.n} bits, got {x.shape}")
-    if np.any(x > 1):
-        raise ParameterError("input bits must be 0/1")
-    return x
 
 
 def _pack_samples(samples: np.ndarray, bits_per_sample: int) -> np.ndarray:
@@ -204,8 +201,8 @@ def _block_bytes(packed: np.ndarray, skip: int, n: int,
     """The k consecutive n-bit blocks starting at bit `skip` of `packed`,
     as k rows of ceil(n/8) bytes.
 
-    A block's last byte may carry the next block's first bits; the byte
-    table maps bits past n to zero columns, so they are left in place.
+    A block's last byte may carry the next block's first bits; they are
+    cleared, since the shift table would read them as seed bits.
     """
     # Blocks `period` apart start at the same bit of a byte, `stride`
     # bytes apart, so each residue class is one strided view of byte
@@ -222,6 +219,8 @@ def _block_bytes(packed: np.ndarray, skip: int, n: int,
             rows[c::period] = view[:, :-1] >> shift | view[:, 1:] << (8 - shift)
         else:
             rows[c::period] = view[:, :-1]
+    if n % 8:
+        rows[:, -1] &= (1 << n % 8) - 1
     return rows
 
 

@@ -1,5 +1,6 @@
 """Toeplitz extraction: indexing, GF(2) algebra, streams, bit packing."""
 
+import math
 import sys
 import threading
 import time
@@ -262,6 +263,31 @@ class TestPackedStream:
         samples = np.arange(12, dtype=np.int16) * 977
         assert (extract_stream(samples, seed, params, 16).tobytes()
                 == dense_stream(samples, seed, params, 16))
+
+    @pytest.mark.parametrize("ones", [False, True])
+    def test_full_size_odd_geometry(self, ones, monkeypatch):
+        # n % 8 == 3 and m % 8 == 5 at full size, 8 blocks per chunk: the
+        # blocks start at every bit of a byte, and each block's last byte
+        # carries 5 bits of the next block, all set by all-ones samples,
+        # that must not reach the hash
+        monkeypatch.setattr(toeplitz, "_CHUNK_BLOCKS", 8)
+        params = ExtractorParams(m=1917, n=2403)
+        seed = generate_test_seed(params, 44)
+        rng = np.random.default_rng(45)
+        samples = (np.full(4_010, -1, dtype=np.int16) if ones
+                   else rng.integers(-2048, 2048, size=4_010).astype(np.int16))
+        assert samples.size * 12 // params.n == 20
+        assert (extract_stream(samples, seed, params).tobytes()
+                == dense_stream(samples, seed, params))
+
+    def test_one_shift_table(self):
+        # 138 KB at 1920 x 2400: one row per byte value, not one table per
+        # byte position
+        params = ExtractorParams()
+        table = toeplitz._byte_table(generate_test_seed(params, 46), params)
+        assert table.nbytes == 256 * ((params.n - 1) // 8
+                                      + 8 * math.ceil(params.m / 64))
+        assert table.nbytes == 137_984
 
     def test_empty_stream(self):
         params = ExtractorParams(m=8, n=24)
