@@ -27,9 +27,10 @@ from .entropy import min_entropy_discretized
 from .errors import (ConfigError, DataError, NoExtractableEntropyError,
                      ParameterError)
 from .pipeline import (LoopSummary, estimate_entropy, extract_measured,
-                       noise_samples, paper_repro_table, read_packed,
+                       noise_samples, packed_bits, paper_repro_table,
                        run_pipeline, select_centered, simulate_run,
-                       suite_on_packed, write_streams)
+                       suite_on_file, suite_on_packed, write_extracted,
+                       write_streams)
 from .toeplitz import save_seed
 
 
@@ -84,9 +85,9 @@ def _cmd_simulate(args, config: PipelineConfig) -> int:
 
 
 def _cmd_estimate(args, config: PipelineConfig) -> int:
-    # LO off first: at 2e7 + 4e6 samples repeated in-process calls hold
-    # their peak RSS at 124-125 MB, where LO on first starts at 114 MB
-    # and creeps to 131 MB by the sixth call.
+    # LO off first: at 2e7 + 4e6 samples six in-process calls hold their
+    # peak RSS at 87.2-87.7 MB, where LO on first starts at 86.3 MB and
+    # steps up to 93.7-93.8 MB at the fifth call.
     noise = noise_samples(config)
     measured = select_centered(config, simulate_run(config))
     report, budget = estimate_entropy(config, measured, noise)
@@ -108,10 +109,9 @@ def _cmd_estimate(args, config: PipelineConfig) -> int:
 
 def _cmd_extract(args, config: PipelineConfig) -> int:
     samples = select_centered(config, simulate_run(config))
-    seed, packed, n_bits = extract_measured(config, samples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "extracted.bin").write_bytes(packed)
+    seed, n_bits = write_extracted(config, samples, out / "extracted.bin")
     save_seed(out / "extractor_seed.bin", seed)
     print(f"extracted {n_bits} bits from {samples.size} samples -> "
           f"{out / 'extracted.bin'}")
@@ -120,11 +120,12 @@ def _cmd_extract(args, config: PipelineConfig) -> int:
 
 def _cmd_test(args, config: PipelineConfig) -> int:
     if args.bits is not None:
-        packed, n_bits = read_packed(args.bits)
+        n_bits = packed_bits(args.bits)
+        verdict = suite_on_file(args.bits, n_bits, config)
     else:
         _, packed, n_bits = extract_measured(
             config, select_centered(config, simulate_run(config)))
-    verdict = suite_on_packed(packed, n_bits, config)
+        verdict = suite_on_packed(packed, n_bits, config)
     if verdict is None:
         raise DataError(
             f"only {n_bits} bits available; need at least one "

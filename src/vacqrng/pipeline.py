@@ -27,7 +27,7 @@ from .entropy import (EntropyReport, block_budget, build_report,
 from .errors import DataError, NoExtractableEntropyError
 from .stattests import SuiteVerdict, pass_proportion_interval, run_suite
 from .toeplitz import (ToeplitzSeed, extract_stream, generate_test_seed,
-                       load_seed, save_seed)
+                       load_seed, save_seed, write_stream)
 
 # Headline figures of the reference hardware experiment this simulator
 # models; `paper-repro` prints measured values against them.
@@ -181,6 +181,11 @@ def select_centered(config: PipelineConfig, run: LoopRun) -> np.ndarray:
     constant stream that would dilute the output with known bits.
     Steady-state unlocked blocks (the loop dithering around the interval)
     are kept unless `discard_unlocked` is set.
+
+    The call consumes `run.centered`: the kept blocks are moved to its
+    front and the result is a view of them, so no sample is copied.
+    After it only the run's flags, sums and DAC codes stay valid; select
+    from a copy of a run that is read again.
     """
     keep = ~run.saturated
     first = run.first_locked()
@@ -189,7 +194,17 @@ def select_centered(config: PipelineConfig, run: LoopRun) -> np.ndarray:
         keep &= run.locked
     if not keep.any():
         raise DataError("no usable blocks after saturation/lock filtering")
-    return run.centered[keep].reshape(-1)
+    n = run.centered.shape[1]
+    flat = run.centered.reshape(-1)
+    # Each run of consecutive kept blocks moves to the front in one 1-D
+    # slice assignment.  A block never moves to a later index, and numpy
+    # copies overlapping same-direction 1-D slices without a temporary.
+    edges = np.flatnonzero(np.diff(keep, prepend=False, append=False)) * n
+    kept = 0
+    for start, stop in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        flat[kept:kept + stop - start] = flat[start:stop]
+        kept += stop - start
+    return flat[:kept]
 
 
 def noise_samples(config: PipelineConfig) -> np.ndarray:
@@ -208,20 +223,35 @@ def estimate_entropy(config: PipelineConfig, measured: np.ndarray,
                                 config.extractor_params().epsilon)
 
 
+def _extractor_seed(config: PipelineConfig) -> ToeplitzSeed:
+    """The seed of `seed_file`, or else the master seed's test seed."""
+    params = config.extractor_params()
+    if config.seed_file:
+        return load_seed(config.seed_file, params)
+    return generate_test_seed(params, config.stream_seeds()["extractor_seed"])
+
+
 def extract_measured(config: PipelineConfig, measured: np.ndarray,
                      ) -> tuple[ToeplitzSeed, np.ndarray, int]:
     """Toeplitz-hash the measured samples, adc_bits per sample, with the
     seed of `seed_file` or else the master seed's test seed.  Returns the
     seed, the packed output and its length in bits."""
     params = config.extractor_params()
-    if config.seed_file:
-        seed = load_seed(config.seed_file, params)
-    else:
-        seed = generate_test_seed(params,
-                                  config.stream_seeds()["extractor_seed"])
+    seed = _extractor_seed(config)
     packed = extract_stream(measured, seed, params,
                             bits_per_sample=config.adc_bits)
     return seed, packed, params.output_bits(measured.size * config.adc_bits)
+
+
+def write_extracted(config: PipelineConfig, measured: np.ndarray,
+                    path: Path) -> tuple[ToeplitzSeed, int]:
+    """`extract_measured`'s output written to `path` as it is hashed,
+    never held whole; a failed extraction leaves no file there.  Returns
+    the seed and the output's length in bits."""
+    seed = _extractor_seed(config)
+    return seed, write_stream(path, measured, seed,
+                              config.extractor_params(),
+                              bits_per_sample=config.adc_bits)
 
 
 def suite_on_packed(packed: np.ndarray, n_bits: int,
@@ -231,12 +261,28 @@ def suite_on_packed(packed: np.ndarray, n_bits: int,
     Runs as many sequences as the stream holds, up to
     `config.n_sequences`; None if it holds not one.
     """
-    n_seq = min(config.n_sequences, n_bits // config.sequence_length)
+    n_seq = _suite_bits(n_bits, config) // config.sequence_length
     if n_seq < 1:
         return None
     # n_sequences by keyword: the benchmark's tracer counts it from there.
     return run_suite(packed, n_bits, config.sequence_length,
                      n_sequences=n_seq, beta=config.beta)
+
+
+def suite_on_file(path: Path, n_bits: int,
+                  config: PipelineConfig) -> SuiteVerdict | None:
+    """`suite_on_packed` on a packed file of `n_bits` bits, reading only
+    the bytes of the sequences the suite runs."""
+    head = _suite_bits(n_bits, config)
+    packed = np.fromfile(path, dtype=np.uint8, count=-(-head // 8))
+    return suite_on_packed(packed, head, config)
+
+
+def _suite_bits(n_bits: int, config: PipelineConfig) -> int:
+    """The bits the suite reads of an `n_bits` stream: its whole
+    sequences, at most `config.n_sequences` of them."""
+    length = config.sequence_length
+    return min(config.n_sequences, n_bits // length) * length
 
 
 def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
@@ -267,8 +313,9 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
     extract_seconds = 0.0
     try:
         measured = select_centered(config, run_on)
-        # Only the selection is read from here on: drop the run's own copy
-        # of every sample (2 B each) before extraction sets the peak.
+        # The selection is a view of the run's samples: this frees only
+        # the per-block flags, sums and codes; the samples go after
+        # extraction.
         del run_on
         entropy, budget = estimate_entropy(config, measured, noise)
         del noise
@@ -285,18 +332,20 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
         _write_json(out / "entropy.json", payload, config)
         artifacts["entropy"] = out / "entropy.json"
 
-        # Extraction reads the blocks the estimate was made on.
+        # Extraction reads the blocks the estimate was made on and writes
+        # its output as it is hashed.
         t0 = time.perf_counter()
-        seed, packed, extracted_bits = extract_measured(config, measured)
+        seed, extracted_bits = write_extracted(config, measured,
+                                               out / "extracted.bin")
         del measured
         extract_seconds = time.perf_counter() - t0
         save_seed(out / "extractor_seed.bin", seed)
         artifacts["extractor_seed"] = out / "extractor_seed.bin"
-        (out / "extracted.bin").write_bytes(packed)
         artifacts["extracted"] = out / "extracted.bin"
 
         # Statistical validation at whatever scale the output supports.
-        verdict = suite_on_packed(packed, extracted_bits, config)
+        verdict = suite_on_file(out / "extracted.bin", extracted_bits,
+                                config)
         if verdict is not None:
             _write_json(out / "verdict.json", dataclasses.asdict(verdict),
                         config)
@@ -317,60 +366,66 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
     return result
 
 
+def _sha256(path: Path) -> str:
+    """A file's sha256, hashed in fixed-size reads: never held whole."""
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _write_manifest(out: Path, config: PipelineConfig,
                     artifacts: dict[str, Path], status: str,
                     extracted_bits: int) -> None:
     """Path, size and sha256 of every artifact; the packed output's entry
     also carries its bit count, which its zero-padded bytes cannot."""
-    entries = {}
-    for name, path in artifacts.items():
-        # Hashed in fixed-size reads: an artifact is never held whole.
-        digest = hashlib.sha256()
-        with path.open("rb") as fh:
-            while chunk := fh.read(1 << 20):
-                digest.update(chunk)
-        entries[name] = {"path": path.name, "bytes": path.stat().st_size,
-                         "sha256": digest.hexdigest()}
+    entries = {name: {"path": path.name, "bytes": path.stat().st_size,
+                      "sha256": _sha256(path)}
+               for name, path in artifacts.items()}
     if "extracted" in entries:
         entries["extracted"]["bits"] = extracted_bits
     payload = {"status": status, "artifacts": entries}
     _write_json(out / "manifest.json", payload, config)
 
 
-def read_packed(path: Path) -> tuple[np.ndarray, int]:
-    """A packed bitstream and its length in bits: the count that a
-    manifest.json beside the file records for it, else all its bytes.
+def packed_bits(path: Path) -> int:
+    """The length in bits of a packed bitstream file: the count that a
+    manifest.json beside it records for it, else all its bytes.
 
     A manifest entry is used only for the file it describes (same sha256)
     and only if its count fills the bytes with zero padding; otherwise
-    DataError.
+    DataError.  The file is hashed in fixed-size reads and its padding
+    checked from its last byte, so it is never held whole.
     """
     path = Path(path)
     try:
-        packed = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+        with path.open("rb") as fh:
+            size = fh.seek(0, 2)
+            fh.seek(max(size - 1, 0))
+            last = fh.read(1)
     except OSError as exc:
         raise DataError(f"cannot read bitstream {path}: {exc}") from exc
     manifest = path.parent / "manifest.json"
     if not manifest.is_file():
-        return packed, packed.size * 8
+        return size * 8
     try:
         entries = json.loads(manifest.read_text())["artifacts"].values()
+        entry = next((e for e in entries
+                      if e.get("path") == path.name and "bits" in e), None)
     except (OSError, ValueError, KeyError, AttributeError) as exc:
         raise DataError(f"cannot read {manifest}: {exc}") from exc
-    for entry in entries:
-        if entry.get("path") != path.name or "bits" not in entry:
-            continue
-        if entry.get("sha256") != hashlib.sha256(packed).hexdigest():
-            raise DataError(f"{manifest} does not describe {path.name}: "
-                            "its sha256 differs")
-        bits = entry["bits"]
-        if (type(bits) is not int or bits < 0
-                or (bits + 7) // 8 != packed.size
-                or bits % 8 and packed[-1] >> bits % 8):
-            raise DataError(f"{manifest} lists {bits!r} bits for "
-                            f"{path.name}, which holds {packed.size} bytes")
-        return packed, bits
-    return packed, packed.size * 8
+    if entry is None:
+        return size * 8
+    if entry.get("sha256") != _sha256(path):
+        raise DataError(f"{manifest} does not describe {path.name}: "
+                        "its sha256 differs")
+    bits = entry["bits"]
+    if (type(bits) is not int or bits < 0 or (bits + 7) // 8 != size
+            or bits % 8 and last[0] >> bits % 8):
+        raise DataError(f"{manifest} lists {bits!r} bits for "
+                        f"{path.name}, which holds {size} bytes")
+    return bits
 
 
 def paper_repro_table(result: RunResult) -> str:

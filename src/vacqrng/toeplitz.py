@@ -19,15 +19,16 @@ moving window.  The output is the XOR of the looked-up windows, packed
 into 64-bit words; only XORs of bits are computed, so the fast path is
 exact by construction and bit-identical to the oracle.
 
-`extract_stream` hashes a sample stream with one path for every geometry
-(any n and m, 1..16 bits per sample, blocks that start inside a sample or
-a byte), _CHUNK_BLOCKS blocks at a time in the byte domain: it packs the
-chunk's samples straight into bytes, takes each block's bytes with one
-shifted read, hashes them and writes the output into its slice of the
-packed result.  No array holds one byte per input bit.  The caller's
-thread and one helper thread, started only when the stream spans more
-than one chunk, take chunks from one shared iterator.  The helper calls
-only private functions.
+A sample stream is hashed with one path for every geometry (any n and m,
+1..16 bits per sample, blocks that start inside a sample or a byte),
+_CHUNK_BLOCKS blocks at a time in the byte domain: each chunk's samples
+are packed straight into bytes, each block's bytes taken with one shifted
+read and hashed, and the chunk's packed output produced in stream order.
+No array holds one byte per input bit.  The caller's thread hashes chunk
+j while one helper thread, started only when the stream spans more than
+one chunk, hashes chunk j + 1; the helper calls only private functions.
+`extract_stream` gathers the chunks into one packed array; `write_stream`
+writes each to a file as it arrives, so the output is never held whole.
 
 Bit conventions, fixed for all stream and file formats:
   * samples enter the input block least-significant-bit first, samples in
@@ -47,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError
 
-_CHUNK_BLOCKS = 4096  # blocks hashed per extract_stream step; a multiple of 8
+_CHUNK_BLOCKS = 4096  # blocks hashed per chunk; a multiple of 8
 _WORD = np.dtype("<u8")
 
 
@@ -224,6 +225,71 @@ def _block_bytes(packed: np.ndarray, skip: int, n: int,
     return rows
 
 
+def _flat_samples(centered_samples, bits_per_sample: int) -> np.ndarray:
+    """The sample stream as one flat integer array, its width checked."""
+    if not 1 <= bits_per_sample <= 16:
+        raise ParameterError("bits_per_sample must be in [1, 16]")
+    samples = np.asarray(centered_samples).reshape(-1)
+    if samples.dtype.kind not in "iu":
+        raise ParameterError("samples must be integers")
+    return samples
+
+
+def _hashed_chunks(samples: np.ndarray, seed: ToeplitzSeed,
+                   params: ExtractorParams, bits_per_sample: int):
+    """The packed output of each _CHUNK_BLOCKS-block chunk of a flat
+    sample stream, in order, as 1-D uint8 arrays.
+
+    The caller's thread hashes the even chunks and one helper thread,
+    started only when the stream spans more than one chunk, the odd ones:
+    while the caller hashes chunk j, the helper hashes chunk j + 1.  The
+    helper calls only private functions.  Closing the generator, or an
+    error in either thread, lets the helper finish the chunk it holds and
+    gives it no other.
+    """
+    n, m = params.n, params.m
+    n_blocks = samples.size * bits_per_sample // n
+    table = _byte_table(seed, params)
+    starts = range(0, n_blocks, _CHUNK_BLOCKS)
+
+    def hashed(start: int) -> np.ndarray:
+        k = min(_CHUNK_BLOCKS, n_blocks - start)
+        # Chunk edges need not fall on sample edges: pack the samples
+        # covering bits [start*n, (start+k)*n) and skip the leading
+        # partial one.
+        first, skip = divmod(start * n, bits_per_sample)
+        last = -(-(start + k) * n // bits_per_sample)
+        words = _hash(_block_bytes(
+            _pack_samples(samples[first:last], bits_per_sample),
+            skip, n, k), table)
+        # Every chunk but the last holds a multiple of 8 blocks, so the
+        # next one starts on a byte.
+        if m % 8 == 0:
+            # Each row's first m/8 bytes are its output bytes.
+            return np.ascontiguousarray(
+                words.view(np.uint8)[:, :m // 8]).reshape(-1)
+        return np.packbits(np.unpackbits(
+            words.view(np.uint8), axis=1, count=m, bitorder="little"),
+            bitorder="little")
+
+    if len(starts) < 2:
+        yield from map(hashed, starts)
+        return
+    # Imported here so that importing the package starts no thread
+    # machinery.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(hashed, starts[1])
+        for j in range(0, len(starts), 2):
+            yield hashed(starts[j])
+            if j + 1 < len(starts):
+                chunk = ahead.result()
+                if j + 3 < len(starts):
+                    ahead = helper.submit(hashed, starts[j + 3])
+                yield chunk
+
+
 def extract_stream(centered_samples, seed: ToeplitzSeed,
                    params: ExtractorParams,
                    bits_per_sample: int = 12) -> np.ndarray:
@@ -240,58 +306,39 @@ def extract_stream(centered_samples, seed: ToeplitzSeed,
     with the stream; a stream of more than one chunk is hashed by the
     caller's thread and one helper thread.
     """
-    if not 1 <= bits_per_sample <= 16:
-        raise ParameterError("bits_per_sample must be in [1, 16]")
-    samples = np.asarray(centered_samples).reshape(-1)
-    if samples.dtype.kind not in "iu":
-        raise ParameterError("samples must be integers")
-    n, m = params.n, params.m
-    n_blocks = samples.size * bits_per_sample // n
-    out = np.empty(-(-n_blocks * m // 8), dtype=np.uint8)
-    table = _byte_table(seed, params)
-
-    def hash_chunks(starts) -> None:
-        try:
-            for start in starts:
-                k = min(_CHUNK_BLOCKS, n_blocks - start)
-                # Chunk edges need not fall on sample edges: pack the
-                # samples covering bits [start*n, (start+k)*n) and skip
-                # the leading partial one.
-                first, skip = divmod(start * n, bits_per_sample)
-                last = -(-(start + k) * n // bits_per_sample)
-                words = _hash(_block_bytes(
-                    _pack_samples(samples[first:last], bits_per_sample),
-                    skip, n, k), table)
-                # Every chunk but the last holds a multiple of 8 blocks,
-                # so each starts on a byte.
-                at = start * m // 8
-                if m % 8 == 0:
-                    # Each row's first m/8 bytes are its output bytes.
-                    out[at:at + k * m // 8].reshape(k, m // 8)[...] = \
-                        words.view(np.uint8)[:, :m // 8]
-                else:
-                    rows = np.packbits(np.unpackbits(
-                        words.view(np.uint8), axis=1, count=m,
-                        bitorder="little"), bitorder="little")
-                    out[at:at + rows.size] = rows
-        finally:
-            # After an error (or Ctrl-C on the caller), leave the other
-            # thread no chunk, so that the call ends without hashing the
-            # rest of the stream.
-            for _ in starts:
-                pass
-
-    starts = iter(range(0, n_blocks, _CHUNK_BLOCKS))
-    if n_blocks <= _CHUNK_BLOCKS:
-        hash_chunks(starts)
-        return out
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        helper = pool.submit(hash_chunks, starts)
-        hash_chunks(starts)
-        helper.result()
+    samples = _flat_samples(centered_samples, bits_per_sample)
+    n_bits = params.output_bits(samples.size * bits_per_sample)
+    out = np.empty(-(-n_bits // 8), dtype=np.uint8)
+    at = 0
+    for chunk in _hashed_chunks(samples, seed, params, bits_per_sample):
+        out[at:at + chunk.size] = chunk
+        at += chunk.size
     return out
+
+
+def write_stream(path, centered_samples, seed: ToeplitzSeed,
+                 params: ExtractorParams, bits_per_sample: int = 12) -> int:
+    """Hash a stream as `extract_stream` does and write its bytes to the
+    `pathlib.Path` `path` chunk by chunk, as they are hashed, so that the
+    output is never held whole.  Returns the output's length in bits.
+
+    The bytes go to `path` plus ".part", renamed to `path` only once the
+    last chunk is written: a failed or interrupted extraction leaves no
+    partial file under `path`.
+    """
+    samples = _flat_samples(centered_samples, bits_per_sample)
+    part = path.with_name(path.name + ".part")
+    chunks = _hashed_chunks(samples, seed, params, bits_per_sample)
+    try:
+        with part.open("wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        part.replace(path)
+    except BaseException:
+        chunks.close()  # the helper finishes its chunk and takes no other
+        part.unlink(missing_ok=True)
+        raise
+    return params.output_bits(samples.size * bits_per_sample)
 
 
 def pack_bits(bits) -> bytes:

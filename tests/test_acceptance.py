@@ -43,6 +43,7 @@ from tests.bit_reference import hash_bit_rows
 from tests.conftest import record_criterion
 from tests.loop_model import WINDOW_BLOCKS, judge_lock_in
 from tests.optics_reference import balance_phase, pd1_current
+from tests.test_config_pipeline import copied
 from tests.test_controller import oracle_decide
 from tests.test_stattests import PI_100, aligned
 
@@ -62,7 +63,9 @@ def extracted_hundred_meg(default_run):
     """At least 1e8 extracted bits from the shared run, packed, and their
     count."""
     config, run = default_run
-    centered = select_centered(config, run)
+    # The selection consumes the samples it is given: select from a copy,
+    # so that criterion 6 still reads the run's own rows.
+    centered = select_centered(config, copied(run))
     _, packed, n_bits = extract_measured(config, centered)
     assert n_bits >= 100_000_000
     return packed, n_bits
@@ -211,7 +214,7 @@ def test_criterion_6_centering(default_run):
     n = config.block_size_n
     worst_residual = int(np.abs(run.centered.sum(axis=1, dtype=np.int64))
                          .max())
-    stream = select_centered(config, run)
+    stream = select_centered(config, copied(run))
     assert stream.size >= 10_000_000
     grand_mean_lsb = float(np.mean(stream[:10_000_000])) / 2.0
     ok = worst_residual <= n // 2 and abs(grand_mean_lsb) <= 0.05

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
@@ -15,14 +16,14 @@ import numpy as np
 import pytest
 
 import vacqrng
-from vacqrng import cli, pipeline
+from vacqrng import cli, pipeline, toeplitz
 from vacqrng.cli import main
 from vacqrng.config import PipelineConfig, load_config, parse_config_text
 from vacqrng.controller import ControllerConfig, LoopRun
 from vacqrng.errors import (ConfigError, DataError,
                             NoExtractableEntropyError, ParameterError)
-from vacqrng.pipeline import (LoopSummary, run_pipeline, select_centered,
-                              simulate_run, suite_on_packed)
+from vacqrng.pipeline import (LoopSummary, extract_measured, run_pipeline,
+                              select_centered, simulate_run, suite_on_packed)
 from vacqrng.optics import DeviceParams
 from vacqrng.signal_chain import AdcSpec, SignalChainState
 from vacqrng.stattests import run_suite
@@ -30,6 +31,10 @@ from vacqrng.toeplitz import ExtractorParams, pack_bits, unpack_bits
 
 QUICK = dict(samples=200_000, noise_samples=100_000, dac_init=5182,
              sequence_length=100_000, n_sequences=2)
+
+# m = 100 at n = 203: the packed output ends inside a byte.
+ODD = dict(QUICK, samples=201_000, extractor_m=100, extractor_n=203,
+           epsilon_log2=24)
 
 SYMMETRIC_SILENT = """
 eta_ab1_db = 0
@@ -47,6 +52,11 @@ drift_rate_std = 0
 samples = 50000
 noise_samples = 50000
 """
+
+
+def copied(run: LoopRun) -> LoopRun:
+    """A run whose samples `select_centered` may consume, leaving `run`'s."""
+    return replace(run, centered=run.centered.copy())
 
 
 class TestConfigParsing:
@@ -369,9 +379,10 @@ class TestPipeline:
         # so only the lock filter can drop blocks
         assert run.first_locked() == 0 and not run.saturated.any()
         locked_config = replace(config, discard_unlocked=True)
-        full = select_centered(config, run)
+        # the selection consumes the run's samples: each selects from a copy
+        full = select_centered(config, copied(run))
         assert full.size == config.samples
-        locked_only = select_centered(locked_config, run)
+        locked_only = select_centered(locked_config, copied(run))
         n_locked = int(run.locked.sum())
         assert locked_only.size == n_locked * config.block_size_n
         # blocks before the first lock and saturated blocks never pass
@@ -381,10 +392,43 @@ class TestPipeline:
         synthetic = LoopRun(centered=rows, sums=rows[:, 0],
                             dac_before=rows[:, 0], dac_after=rows[:, 0],
                             locked=locked, saturated=saturated)
-        assert select_centered(config, synthetic).tolist() \
+        assert select_centered(config, copied(synthetic)).tolist() \
             == [2, 2, 4, 4, 5, 5]
-        assert select_centered(locked_config, synthetic).tolist() \
+        assert select_centered(locked_config, copied(synthetic)).tolist() \
             == [2, 2, 4, 4]
+
+    @pytest.mark.parametrize("discard_unlocked", [False, True])
+    def test_select_compacts_in_place(self, discard_unlocked):
+        # blocks before the first lock, saturated blocks after it and, with
+        # discard_unlocked, unlocked gaps: several runs of kept blocks
+        rng = np.random.default_rng(43)
+        n_blocks, n = 2_000, 500
+        locked = rng.random(n_blocks) < 0.6
+        locked[:37], locked[37] = False, True
+        saturated = rng.random(n_blocks) < 0.05
+        zeros = np.zeros(n_blocks, dtype=np.int64)
+        run = LoopRun(centered=rng.integers(-4000, 4000, size=(n_blocks, n),
+                                            dtype=np.int16),
+                      sums=zeros, dac_before=zeros, dac_after=zeros,
+                      locked=locked, saturated=saturated)
+        keep = ~saturated
+        keep[:37] = False
+        if discard_unlocked:
+            keep &= locked
+        expected = run.centered.copy()[keep].reshape(-1)
+        assert run.centered.size >= 1_000_000
+        assert not saturated[:37].all() and np.count_nonzero(
+            np.diff(keep)) > 100
+        config = PipelineConfig(discard_unlocked=discard_unlocked)
+        tracemalloc.start()
+        try:
+            stream = select_centered(config, run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(stream, expected)
+        assert np.shares_memory(stream, run.centered)
+        assert peak < 1 << 20, peak
 
 
 class TestCli:
@@ -495,13 +539,78 @@ class TestCli:
         assert verdict["n_sequences"] == 5
         assert "acceptance band" in capsys.readouterr().out
 
+    def test_extract_writes_each_chunk(self, tmp_path, monkeypatch):
+        # 8-block chunks: many of them, the last one short, each ending
+        # inside a byte at m = 100
+        monkeypatch.setattr(toeplitz, "_CHUNK_BLOCKS", 8)
+        config = PipelineConfig(**ODD)
+        cfg = tmp_path / "odd.cfg"
+        cfg.write_text(config.to_text())
+        assert main(["extract", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        _, packed, n_bits = extract_measured(
+            config, select_centered(config, simulate_run(config)))
+        n_blocks = n_bits // config.extractor_m
+        assert n_blocks > 2 * 8 and n_blocks % 8 and n_bits % 8
+        assert (tmp_path / "out" / "extracted.bin").read_bytes() \
+            == packed.tobytes()
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) \
+            == ["extracted.bin", "extractor_seed.bin"]
+
+    @pytest.mark.parametrize("command", ["extract", "all"])
+    def test_failed_extraction_leaves_no_output(self, tmp_path, monkeypatch,
+                                                command):
+        monkeypatch.setattr(toeplitz, "_CHUNK_BLOCKS", 8)
+        kernel = toeplitz._hash
+        calls = []
+
+        def failing_hash(*args):
+            calls.append(1)
+            if len(calls) == 5:  # after some chunks have been written
+                raise RuntimeError("injected")
+            return kernel(*args)
+
+        monkeypatch.setattr(toeplitz, "_hash", failing_hash)
+        cfg = tmp_path / "odd.cfg"
+        cfg.write_text(PipelineConfig(**ODD).to_text())
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="injected"):
+            main([command, "--config", str(cfg), "--out", str(out)])
+        assert len(calls) >= 5
+        assert not (out / "extracted.bin").exists()
+        assert not (out / "extracted.bin.part").exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                        reason="reads the peak RSS from /proc")
+    def test_run_memory_grows_by_the_lo_on_stream(self):
+        # A fresh `all` holds each LO-on sample once (2 B, int16): the
+        # selection compacts the run's own array and extraction writes
+        # its output as it is hashed.  A copied selection or a whole
+        # packed output each adds over 1 B per sample on this scale.
+        # VmHWM, not ru_maxrss: a child's ru_maxrss can include the peak of
+        # the test process that spawned it.
+        code = ("import re, sys; from vacqrng.cli import main; "
+                "assert main(sys.argv[1:]) == 0; print(re.search("
+                "r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(vacqrng.__file__).parents[1])}
+        peak_kib = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            for samples in (2_000_000, 6_000_000):
+                proc = subprocess.run(
+                    [sys.executable, "-c", code, "all", "--seed", "7",
+                     "--samples", str(samples), "--out", tmp],
+                    env=env, capture_output=True, text=True, check=True)
+                peak_kib[samples] = int(proc.stdout.split()[-1])
+        per_sample = ((peak_kib[6_000_000] - peak_kib[2_000_000]) * 1024
+                      / 4_000_000)
+        assert per_sample < 3.25, per_sample
+
     def test_bits_file_counted_from_manifest(self, tmp_path, capsys):
         # m = 100 at n = 203 ends the packed output inside a byte; the
         # manifest's bit count keeps that padding out of the suite
         cfg = tmp_path / "odd.cfg"
-        cfg.write_text(PipelineConfig(**{**QUICK, "samples": 201_000},
-                                      extractor_m=100, extractor_n=203,
-                                      epsilon_log2=24).to_text())
+        cfg.write_text(PipelineConfig(**ODD).to_text())
         run = tmp_path / "run"
         assert main(["all", "--config", str(cfg), "--out", str(run)]) == 0
         entry = json.loads((run / "manifest.json").read_text()
@@ -535,6 +644,30 @@ class TestCli:
                      "--out", str(tmp_path / "bad")]) == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_bits_file_read_in_bounded_memory(self, tmp_path, capsys):
+        # the manifest check hashes in fixed-size reads and the suite
+        # reads only its sequences' bytes: a 32 MiB file is never held
+        size = 32 << 20
+        path = tmp_path / "extracted.bin"
+        with path.open("wb") as fh:
+            fh.truncate(size)
+        (tmp_path / "manifest.json").write_text(json.dumps({"artifacts": {
+            "extracted": {"path": path.name, "bytes": size, "bits": 8 * size,
+                          "sha256": hashlib.sha256(bytes(size)).hexdigest()}}}))
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text("sequence_length = 1000\nn_sequences = 3\n")
+        tracemalloc.start()
+        try:
+            assert main(["test", "--config", str(cfg), "--bits", str(path),
+                         "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+        verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
+        assert verdict["n_sequences"] == 3
+        capsys.readouterr()
+
     @pytest.mark.parametrize("bits", [25, 16, 17, -1, "20", 20.0, True, None])
     def test_bits_file_manifest_count_checked(self, tmp_path, capsys, bits):
         # 3 bytes, the last padded above bit 4: only 20 bits fill them
@@ -546,15 +679,14 @@ class TestCli:
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"artifacts": {"extracted": {
             **entry, "bits": 20}}}))
-        packed, n_bits = pipeline.read_packed(path)
-        assert n_bits == 20 and packed.tobytes() == data
+        assert pipeline.packed_bits(path) == 20
 
         # a count past the bytes, short of them, over set padding bits,
         # or not an int is refused
         manifest.write_text(json.dumps({"artifacts": {"extracted": {
             **entry, "bits": bits}}}))
         with pytest.raises(DataError, match="bits for extracted.bin"):
-            pipeline.read_packed(path)
+            pipeline.packed_bits(path)
         assert main(["test", "--bits", str(path),
                      "--out", str(tmp_path / "out")]) == 3
         assert "data error" in capsys.readouterr().err
@@ -563,7 +695,7 @@ class TestCli:
         manifest.write_text(json.dumps({"artifacts": {"extracted": {
             **entry, "sha256": "0" * 64, "bits": 20}}}))
         with pytest.raises(DataError, match="sha256"):
-            pipeline.read_packed(path)
+            pipeline.packed_bits(path)
 
     def test_estimate_budget_matches_all(self, tmp_path, capsys):
         cfg = tmp_path / "quick.cfg"

@@ -296,7 +296,7 @@ class TestPackedStream:
         assert extract_stream(samples, seed, params).size == 0
 
     def test_multi_chunk_under_fast_thread_switching(self):
-        # each call's caller and helper share its chunk iterator; three
+        # each call's caller and helper split its chunks; three
         # concurrent calls (six threads on fewer cores) switching every
         # microsecond still each equal the dense oracle's bytes, so no
         # chunk is skipped, hashed twice or written to another's slice
