@@ -13,7 +13,7 @@ from .errors import (ConfigError, DataError, NoExtractableEntropyError,
                      ParameterError)
 from .pipeline import run_pipeline
 from .stattests import SuiteVerdict, run_suite
-from .toeplitz import (ExtractorParams, ToeplitzSeed, extract_stream,
-                       generate_test_seed, load_seed, save_seed)
+from .toeplitz import (ExtractorParams, ToeplitzSeed, generate_test_seed,
+                       load_seed, save_seed, write_stream)
 
 __version__ = "0.1.0"

@@ -4,12 +4,16 @@ Subcommands:
   simulate     closed-loop run; writes trace and centered-sample stream
   estimate     LO-on + LO-off runs; writes the entropy report
   extract      simulate and Toeplitz-extract; writes packed output bits
-  test         statistical suite on extracted output (or --bits FILE)
+  test         extract the blocks the statistical suite reads and run the
+               suite on them (or on --bits FILE)
   all          full pipeline with every artifact and a summary
   paper-repro  full pipeline; prints a comparison with the reference run
 
 The commands share `vacqrng.pipeline`'s stages: one admission rule (also
-run when a config is built), one LO-off rule and one extraction stage.
+run when a config is built), one LO-off rule, one extraction writer
+(`write_extracted`: `extract`, `test` and `all` write extracted.bin as it
+is hashed) and one suite reader (`suite_on_file`: `test`, `test --bits`
+and `all` read back only the bytes of the sequences they judge).
 
 Exit codes: 0 success, 2 configuration/parameter errors, 3 data errors
 (e.g. no extractable entropy).
@@ -26,12 +30,10 @@ from .config import PipelineConfig, load_config
 from .entropy import min_entropy_discretized
 from .errors import (ConfigError, DataError, NoExtractableEntropyError,
                      ParameterError)
-from .pipeline import (LoopSummary, estimate_entropy, extract_measured,
-                       noise_samples, packed_bits, paper_repro_table,
-                       run_pipeline, select_centered, simulate_run,
-                       suite_on_file, suite_on_packed, write_extracted,
-                       write_streams)
-from .toeplitz import save_seed
+from .pipeline import (LoopSummary, estimate_entropy, noise_samples,
+                       packed_bits, paper_repro_table, run_pipeline,
+                       select_centered, simulate_run, suite_on_file,
+                       write_extracted, write_streams)
 
 
 @functools.cache
@@ -111,27 +113,35 @@ def _cmd_extract(args, config: PipelineConfig) -> int:
     samples = select_centered(config, simulate_run(config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed, n_bits = write_extracted(config, samples, out / "extracted.bin")
-    save_seed(out / "extractor_seed.bin", seed)
+    n_bits = write_extracted(config, samples, out)
     print(f"extracted {n_bits} bits from {samples.size} samples -> "
           f"{out / 'extracted.bin'}")
     return 0
 
 
 def _cmd_test(args, config: PipelineConfig) -> int:
-    if args.bits is not None:
-        n_bits = packed_bits(args.bits)
-        verdict = suite_on_file(args.bits, n_bits, config)
-    else:
-        _, packed, n_bits = extract_measured(
-            config, select_centered(config, simulate_run(config)))
-        verdict = suite_on_packed(packed, n_bits, config)
-    if verdict is None:
-        raise DataError(
-            f"only {n_bits} bits available; need at least one "
-            f"{config.sequence_length}-bit sequence")
     out = Path(args.out)
+    length = config.sequence_length
+    if args.bits is not None:
+        path, n_bits = args.bits, packed_bits(args.bits)
+    else:
+        samples = select_centered(config, simulate_run(config))
+        params = config.extractor_params()
+        n_bits = params.output_bits(samples.size * config.adc_bits)
+    if n_bits < length:
+        raise DataError(f"only {n_bits} bits available; need at least one "
+                        f"{length}-bit sequence")
     out.mkdir(parents=True, exist_ok=True)
+    if args.bits is None:
+        # The suite reads whole sequences from the front of the output:
+        # hash only the blocks that hold them, from the front of the
+        # selection, and write them as `extract` does.
+        head = min(config.n_sequences, n_bits // length) * length
+        blocks = -(-head // params.m)
+        path = out / "extracted.bin"
+        n_bits = write_extracted(
+            config, samples[:-(-blocks * params.n // config.adc_bits)], out)
+    verdict = suite_on_file(path, n_bits, config)
     (out / "verdict.json").write_text(verdict.to_json() + "\n")
     print(verdict.table())
     return 0

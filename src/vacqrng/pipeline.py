@@ -26,8 +26,7 @@ from .entropy import (EntropyReport, block_budget, build_report,
                       min_entropy_discretized)
 from .errors import DataError, NoExtractableEntropyError
 from .stattests import SuiteVerdict, pass_proportion_interval, run_suite
-from .toeplitz import (ToeplitzSeed, extract_stream, generate_test_seed,
-                       load_seed, save_seed, write_stream)
+from .toeplitz import generate_test_seed, load_seed, save_seed, write_stream
 
 # Headline figures of the reference hardware experiment this simulator
 # models; `paper-repro` prints measured values against them.
@@ -223,66 +222,41 @@ def estimate_entropy(config: PipelineConfig, measured: np.ndarray,
                                 config.extractor_params().epsilon)
 
 
-def _extractor_seed(config: PipelineConfig) -> ToeplitzSeed:
-    """The seed of `seed_file`, or else the master seed's test seed."""
+def write_extracted(config: PipelineConfig, measured: np.ndarray,
+                    out: Path) -> int:
+    """Toeplitz-hash the measured samples, adc_bits per sample, with the
+    seed of `seed_file` or else the master seed's test seed.  The output
+    goes to out/extracted.bin as it is hashed, never held whole (a failed
+    extraction leaves no file there), and then the seed to
+    out/extractor_seed.bin.  Returns the output's length in bits."""
     params = config.extractor_params()
     if config.seed_file:
-        return load_seed(config.seed_file, params)
-    return generate_test_seed(params, config.stream_seeds()["extractor_seed"])
-
-
-def extract_measured(config: PipelineConfig, measured: np.ndarray,
-                     ) -> tuple[ToeplitzSeed, np.ndarray, int]:
-    """Toeplitz-hash the measured samples, adc_bits per sample, with the
-    seed of `seed_file` or else the master seed's test seed.  Returns the
-    seed, the packed output and its length in bits."""
-    params = config.extractor_params()
-    seed = _extractor_seed(config)
-    packed = extract_stream(measured, seed, params,
-                            bits_per_sample=config.adc_bits)
-    return seed, packed, params.output_bits(measured.size * config.adc_bits)
-
-
-def write_extracted(config: PipelineConfig, measured: np.ndarray,
-                    path: Path) -> tuple[ToeplitzSeed, int]:
-    """`extract_measured`'s output written to `path` as it is hashed,
-    never held whole; a failed extraction leaves no file there.  Returns
-    the seed and the output's length in bits."""
-    seed = _extractor_seed(config)
-    return seed, write_stream(path, measured, seed,
-                              config.extractor_params(),
-                              bits_per_sample=config.adc_bits)
-
-
-def suite_on_packed(packed: np.ndarray, n_bits: int,
-                    config: PipelineConfig) -> SuiteVerdict | None:
-    """Statistical suite on a packed stream of `n_bits` bits.
-
-    Runs as many sequences as the stream holds, up to
-    `config.n_sequences`; None if it holds not one.
-    """
-    n_seq = _suite_bits(n_bits, config) // config.sequence_length
-    if n_seq < 1:
-        return None
-    # n_sequences by keyword: the benchmark's tracer counts it from there.
-    return run_suite(packed, n_bits, config.sequence_length,
-                     n_sequences=n_seq, beta=config.beta)
+        seed = load_seed(config.seed_file, params)
+    else:
+        seed = generate_test_seed(params,
+                                  config.stream_seeds()["extractor_seed"])
+    n_bits = write_stream(out / "extracted.bin", measured, seed, params,
+                          bits_per_sample=config.adc_bits)
+    save_seed(out / "extractor_seed.bin", seed)
+    return n_bits
 
 
 def suite_on_file(path: Path, n_bits: int,
                   config: PipelineConfig) -> SuiteVerdict | None:
-    """`suite_on_packed` on a packed file of `n_bits` bits, reading only
-    the bytes of the sequences the suite runs."""
-    head = _suite_bits(n_bits, config)
+    """Statistical suite on a packed file of `n_bits` bits.
+
+    Runs as many whole sequences as the stream holds, up to
+    `config.n_sequences`, reading only their bytes; None if it holds
+    not one.
+    """
+    n_seq = min(config.n_sequences, n_bits // config.sequence_length)
+    if n_seq < 1:
+        return None
+    head = n_seq * config.sequence_length
     packed = np.fromfile(path, dtype=np.uint8, count=-(-head // 8))
-    return suite_on_packed(packed, head, config)
-
-
-def _suite_bits(n_bits: int, config: PipelineConfig) -> int:
-    """The bits the suite reads of an `n_bits` stream: its whole
-    sequences, at most `config.n_sequences` of them."""
-    length = config.sequence_length
-    return min(config.n_sequences, n_bits // length) * length
+    # n_sequences by keyword: the benchmark's tracer counts it from there.
+    return run_suite(packed, head, config.sequence_length,
+                     n_sequences=n_seq, beta=config.beta)
 
 
 def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
@@ -335,11 +309,9 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunResult:
         # Extraction reads the blocks the estimate was made on and writes
         # its output as it is hashed.
         t0 = time.perf_counter()
-        seed, extracted_bits = write_extracted(config, measured,
-                                               out / "extracted.bin")
+        extracted_bits = write_extracted(config, measured, out)
         del measured
         extract_seconds = time.perf_counter() - t0
-        save_seed(out / "extractor_seed.bin", seed)
         artifacts["extractor_seed"] = out / "extractor_seed.bin"
         artifacts["extracted"] = out / "extracted.bin"
 

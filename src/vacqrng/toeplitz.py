@@ -27,8 +27,8 @@ read and hashed, and the chunk's packed output produced in stream order.
 No array holds one byte per input bit.  The caller's thread hashes chunk
 j while one helper thread, started only when the stream spans more than
 one chunk, hashes chunk j + 1; the helper calls only private functions.
-`extract_stream` gathers the chunks into one packed array; `write_stream`
-writes each to a file as it arrives, so the output is never held whole.
+`write_stream` writes each chunk to a file as it arrives, so the output
+is never held whole.
 
 Bit conventions, fixed for all stream and file formats:
   * samples enter the input block least-significant-bit first, samples in
@@ -225,16 +225,6 @@ def _block_bytes(packed: np.ndarray, skip: int, n: int,
     return rows
 
 
-def _flat_samples(centered_samples, bits_per_sample: int) -> np.ndarray:
-    """The sample stream as one flat integer array, its width checked."""
-    if not 1 <= bits_per_sample <= 16:
-        raise ParameterError("bits_per_sample must be in [1, 16]")
-    samples = np.asarray(centered_samples).reshape(-1)
-    if samples.dtype.kind not in "iu":
-        raise ParameterError("samples must be integers")
-    return samples
-
-
 def _hashed_chunks(samples: np.ndarray, seed: ToeplitzSeed,
                    params: ExtractorParams, bits_per_sample: int):
     """The packed output of each _CHUNK_BLOCKS-block chunk of a flat
@@ -290,43 +280,31 @@ def _hashed_chunks(samples: np.ndarray, seed: ToeplitzSeed,
                 yield chunk
 
 
-def extract_stream(centered_samples, seed: ToeplitzSeed,
-                   params: ExtractorParams,
-                   bits_per_sample: int = 12) -> np.ndarray:
-    """Hash a centered-sample stream into packed extracted bytes.
+def write_stream(path, centered_samples, seed: ToeplitzSeed,
+                 params: ExtractorParams, bits_per_sample: int = 12) -> int:
+    """Hash a centered-sample stream and write the packed output to the
+    `pathlib.Path` `path` chunk by chunk, as it is hashed, so that the
+    output is never held whole.  Returns the output's length in bits.
 
     The low `bits_per_sample` bits of each sample, in temporal order, are
     cut into n-bit blocks (trailing partial block dropped, never padded),
-    and each block is extracted with the same seed.  Returns the
-    concatenated m-bit outputs packed as a uint8 array in the `pack_bits`
-    format (first bit in the LSB of the first byte, zero padding),
-    `params.output_bits(...)` bits in all.
-    Blocks are hashed _CHUNK_BLOCKS at a time, packing only the samples
-    each chunk covers, so working memory beyond the output does not grow
-    with the stream; a stream of more than one chunk is hashed by the
-    caller's thread and one helper thread.
-    """
-    samples = _flat_samples(centered_samples, bits_per_sample)
-    n_bits = params.output_bits(samples.size * bits_per_sample)
-    out = np.empty(-(-n_bits // 8), dtype=np.uint8)
-    at = 0
-    for chunk in _hashed_chunks(samples, seed, params, bits_per_sample):
-        out[at:at + chunk.size] = chunk
-        at += chunk.size
-    return out
-
-
-def write_stream(path, centered_samples, seed: ToeplitzSeed,
-                 params: ExtractorParams, bits_per_sample: int = 12) -> int:
-    """Hash a stream as `extract_stream` does and write its bytes to the
-    `pathlib.Path` `path` chunk by chunk, as they are hashed, so that the
-    output is never held whole.  Returns the output's length in bits.
+    and each block is extracted with the same seed.  The file holds the
+    concatenated m-bit outputs in the `pack_bits` format (first bit in
+    the LSB of the first byte, zero padding), `params.output_bits(...)`
+    bits in all.  Blocks are hashed _CHUNK_BLOCKS at a time, packing only
+    the samples each chunk covers, so working memory does not grow with
+    the stream; a stream of more than one chunk is hashed by the caller's
+    thread and one helper thread.
 
     The bytes go to `path` plus ".part", renamed to `path` only once the
     last chunk is written: a failed or interrupted extraction leaves no
     partial file under `path`.
     """
-    samples = _flat_samples(centered_samples, bits_per_sample)
+    if not 1 <= bits_per_sample <= 16:
+        raise ParameterError("bits_per_sample must be in [1, 16]")
+    samples = np.asarray(centered_samples).reshape(-1)
+    if samples.dtype.kind not in "iu":
+        raise ParameterError("samples must be integers")
     part = path.with_name(path.name + ".part")
     chunks = _hashed_chunks(samples, seed, params, bits_per_sample)
     try:

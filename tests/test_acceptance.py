@@ -32,13 +32,14 @@ from vacqrng.config import PipelineConfig
 from vacqrng.controller import decide, run_closed_loop
 from vacqrng.entropy import block_budget, min_entropy
 from vacqrng.optics import DeviceParams, homodyne_curve
-from vacqrng.pipeline import extract_measured, select_centered, simulate_run
+from vacqrng.pipeline import (select_centered, simulate_run, suite_on_file,
+                              write_extracted)
 from vacqrng.stattests import (approximate_entropy_test, block_frequency_test,
                                cumulative_sums_test, monobit_test,
-                               pass_proportion_interval, run_suite, runs_test)
+                               pass_proportion_interval, runs_test)
 from vacqrng.toeplitz import (ExtractorParams, extract_block_dense,
-                              extract_stream, generate_test_seed,
-                              toeplitz_matrix)
+                              generate_test_seed, toeplitz_matrix,
+                              write_stream)
 from tests.bit_reference import hash_bit_rows
 from tests.conftest import record_criterion
 from tests.loop_model import WINDOW_BLOCKS, judge_lock_in
@@ -59,16 +60,17 @@ def default_run():
 
 
 @pytest.fixture(scope="module")
-def extracted_hundred_meg(default_run):
-    """At least 1e8 extracted bits from the shared run, packed, and their
-    count."""
+def extracted_hundred_meg(default_run, tmp_path_factory):
+    """At least 1e8 extracted bits from the shared run, written to an
+    extracted.bin as `all` writes it; its path and bit count."""
     config, run = default_run
     # The selection consumes the samples it is given: select from a copy,
     # so that criterion 6 still reads the run's own rows.
     centered = select_centered(config, copied(run))
-    _, packed, n_bits = extract_measured(config, centered)
+    out = tmp_path_factory.mktemp("criterion_8")
+    n_bits = write_extracted(config, centered, out)
     assert n_bits >= 100_000_000
-    return packed, n_bits
+    return out / "extracted.bin", n_bits
 
 
 def test_criterion_1_min_entropy_reproduction():
@@ -273,7 +275,9 @@ def test_criterion_8_statistical_quality(extracted_hundred_meg):
                    and abs(lo_exact - 0.9805607203664686) < 1e-12)
 
     lo_100 = pass_proportion_interval(0.01, 100)[0]
-    verdict = run_suite(*extracted_hundred_meg, 1_000_000, 100, beta=0.01)
+    suite = PipelineConfig(sequence_length=1_000_000, n_sequences=100,
+                           beta=0.01)
+    verdict = suite_on_file(*extracted_hundred_meg, suite)
     failing = {name: prop for name, prop in verdict.proportions.items()
                if prop < lo_100}
     elapsed = time.perf_counter() - start
@@ -287,7 +291,7 @@ def test_criterion_8_statistical_quality(extracted_hundred_meg):
     assert elapsed <= 600
 
 
-def test_criterion_9_throughput_report():
+def test_criterion_9_throughput_report(tmp_path):
     params = ExtractorParams()
     n_blocks = 1024
     bits_per_sample = 12
@@ -295,11 +299,13 @@ def test_criterion_9_throughput_report():
     seed = generate_test_seed(params, 7)
     samples = np.random.default_rng(7).integers(
         -2048, 2048, size=n_blocks * per_block, dtype=np.int16)
-    # `extract_stream` as `all` runs it: 12-bit int16 samples.  Warm-up,
+    # `write_stream` as `all` runs it: 12-bit int16 samples.  Warm-up,
     # so that first-touch page faults fall outside the timing.
-    extract_stream(samples[:64 * per_block], seed, params, bits_per_sample)
+    path = tmp_path / "extracted.bin"
+    write_stream(path, samples[:64 * per_block], seed, params,
+                 bits_per_sample)
     start = time.perf_counter()
-    out = extract_stream(samples, seed, params, bits_per_sample)
+    n_bits = write_stream(path, samples, seed, params, bits_per_sample)
     fast_s = time.perf_counter() - start
     first_block = ((samples[:per_block, None].astype(np.int64)
                     >> np.arange(bits_per_sample)) & 1).astype(np.uint8)
@@ -307,7 +313,8 @@ def test_criterion_9_throughput_report():
     extract_block_dense(first_block.reshape(-1), seed, params)
     dense_s = time.perf_counter() - start
 
-    assert out.size == n_blocks * params.m // 8
+    assert n_bits == n_blocks * params.m
+    assert path.stat().st_size == n_blocks * params.m // 8
     output_mbps = n_blocks * params.m / fast_s / 1e6
     ok = output_mbps > 0
     record_criterion(

@@ -22,8 +22,8 @@ from vacqrng.config import PipelineConfig, load_config, parse_config_text
 from vacqrng.controller import ControllerConfig, LoopRun
 from vacqrng.errors import (ConfigError, DataError,
                             NoExtractableEntropyError, ParameterError)
-from vacqrng.pipeline import (LoopSummary, extract_measured, run_pipeline,
-                              select_centered, simulate_run, suite_on_packed)
+from vacqrng.pipeline import (LoopSummary, run_pipeline, select_centered,
+                              simulate_run, suite_on_file, write_extracted)
 from vacqrng.optics import DeviceParams
 from vacqrng.signal_chain import AdcSpec, SignalChainState
 from vacqrng.stattests import run_suite
@@ -35,6 +35,9 @@ QUICK = dict(samples=200_000, noise_samples=100_000, dac_init=5182,
 # m = 100 at n = 203: the packed output ends inside a byte.
 ODD = dict(QUICK, samples=201_000, extractor_m=100, extractor_n=203,
            epsilon_log2=24)
+
+# ODD with two 100,050-bit suite sequences: `test` hashes 2001 blocks.
+ODD_SUITE = dict(ODD, sequence_length=100_050)
 
 SYMMETRIC_SILENT = """
 eta_ab1_db = 0
@@ -351,11 +354,13 @@ class TestPipeline:
         assert summary.first_locked_block is not None
         assert 0.0 <= summary.locked_fraction <= 1.0
 
-    def test_suite_on_packed_reads_only_whole_sequences(self, monkeypatch):
+    def test_suite_on_file_reads_only_whole_sequences(self, monkeypatch,
+                                                      tmp_path):
         config = PipelineConfig(sequence_length=1_000, n_sequences=3)
         bits = np.random.default_rng(4).integers(0, 2, size=2_500,
                                                  dtype=np.uint8)
-        packed = np.frombuffer(pack_bits(bits), dtype=np.uint8)
+        path = tmp_path / "extracted.bin"
+        path.write_bytes(pack_bits(bits))
         seen = []
 
         def recording_suite(*args, **kwargs):
@@ -363,14 +368,16 @@ class TestPipeline:
             return run_suite(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "run_suite", recording_suite)
-        verdict = suite_on_packed(packed, bits.size, config)
+        verdict = suite_on_file(path, bits.size, config)
         [(args, kwargs)] = seen
-        assert args[0] is packed and args[1:] == (bits.size, 1_000)
+        # only the bytes of the two whole sequences are read
+        head = np.frombuffer(pack_bits(bits[:2_000]), dtype=np.uint8)
+        assert args[0].tobytes() == head.tobytes()
+        assert args[1:] == (2_000, 1_000)
         assert kwargs == {"n_sequences": 2, "beta": config.beta}
         # the same verdict as from the first two sequences' bits alone
-        head = np.frombuffer(pack_bits(bits[:2_000]), dtype=np.uint8)
         assert verdict == run_suite(head, 2_000, 1_000, 2, beta=config.beta)
-        assert suite_on_packed(packed, 999, config) is None
+        assert suite_on_file(path, 999, config) is None
 
     def test_select_centered_filters(self):
         config = PipelineConfig(**QUICK)
@@ -542,22 +549,26 @@ class TestCli:
     def test_extract_writes_each_chunk(self, tmp_path, monkeypatch):
         # 8-block chunks: many of them, the last one short, each ending
         # inside a byte at m = 100
-        monkeypatch.setattr(toeplitz, "_CHUNK_BLOCKS", 8)
         config = PipelineConfig(**ODD)
         cfg = tmp_path / "odd.cfg"
         cfg.write_text(config.to_text())
-        assert main(["extract", "--config", str(cfg),
-                     "--out", str(tmp_path / "out")]) == 0
-        _, packed, n_bits = extract_measured(
-            config, select_centered(config, simulate_run(config)))
+        with monkeypatch.context() as patch:
+            patch.setattr(toeplitz, "_CHUNK_BLOCKS", 8)
+            assert main(["extract", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+        # the same bytes as from whole 4096-block chunks
+        reference = tmp_path / "reference"
+        reference.mkdir()
+        n_bits = write_extracted(
+            config, select_centered(config, simulate_run(config)), reference)
         n_blocks = n_bits // config.extractor_m
         assert n_blocks > 2 * 8 and n_blocks % 8 and n_bits % 8
         assert (tmp_path / "out" / "extracted.bin").read_bytes() \
-            == packed.tobytes()
+            == (reference / "extracted.bin").read_bytes()
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) \
             == ["extracted.bin", "extractor_seed.bin"]
 
-    @pytest.mark.parametrize("command", ["extract", "all"])
+    @pytest.mark.parametrize("command", ["extract", "all", "test"])
     def test_failed_extraction_leaves_no_output(self, tmp_path, monkeypatch,
                                                 command):
         monkeypatch.setattr(toeplitz, "_CHUNK_BLOCKS", 8)
@@ -580,13 +591,70 @@ class TestCli:
         assert not (out / "extracted.bin").exists()
         assert not (out / "extracted.bin.part").exists()
 
+    def test_test_hashes_only_the_blocks_its_suite_reads(self, tmp_path):
+        # 2001 blocks of m = 100 hold the two sequences: the output ends
+        # inside a byte, and the selection holds many more blocks
+        config = PipelineConfig(**ODD_SUITE)
+        cfg = tmp_path / "odd.cfg"
+        cfg.write_text(config.to_text())
+        whole, out = tmp_path / "whole", tmp_path / "out"
+        assert main(["extract", "--config", str(cfg),
+                     "--out", str(whole)]) == 0
+        assert main(["test", "--config", str(cfg), "--out", str(out)]) == 0
+        total = config.extractor_params().output_bits(
+            select_centered(config, simulate_run(config)).size
+            * config.adc_bits)
+        length = config.sequence_length
+        head = min(config.n_sequences, total // length) * length
+        blocks = -(-head // config.extractor_m)
+        assert blocks == 2_001 and 4 * blocks < total // config.extractor_m
+        assert sorted(p.name for p in out.iterdir()) \
+            == ["extracted.bin", "extractor_seed.bin", "verdict.json"]
+        # exactly blocks * m bits, zero-padded, the front of `extract`'s
+        bits = unpack_bits((out / "extracted.bin").read_bytes(),
+                           blocks * config.extractor_m)
+        assert np.array_equal(bits, unpack_bits(
+            (whole / "extracted.bin").read_bytes(), total)[:bits.size])
+        assert (out / "extractor_seed.bin").read_bytes() \
+            == (whole / "extractor_seed.bin").read_bytes()
+
+    def test_test_verdict_reproduced_from_its_bits(self, tmp_path, capsys):
+        cfg = tmp_path / "odd.cfg"
+        cfg.write_text(PipelineConfig(**ODD_SUITE).to_text())
+        fresh, again = tmp_path / "fresh", tmp_path / "again"
+        assert main(["test", "--config", str(cfg), "--out", str(fresh)]) == 0
+        printed = capsys.readouterr().out
+        assert main(["test", "--config", str(cfg), "--bits",
+                     str(fresh / "extracted.bin"), "--out", str(again)]) == 0
+        assert capsys.readouterr().out == printed
+        assert (again / "verdict.json").read_bytes() \
+            == (fresh / "verdict.json").read_bytes()
+
+    def test_test_too_short_for_one_sequence_writes_nothing(self, tmp_path,
+                                                            capsys):
+        config = PipelineConfig(**dict(QUICK, sequence_length=2_000_000))
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(config.to_text())
+        total = config.extractor_params().output_bits(
+            select_centered(config, simulate_run(config)).size
+            * config.adc_bits)
+        assert 0 < total < config.sequence_length
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["test", "--config", str(cfg), "--out", str(out)]) == 3
+        assert f"data error: only {total} bits available" \
+            in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
                         reason="reads the peak RSS from /proc")
-    def test_run_memory_grows_by_the_lo_on_stream(self):
-        # A fresh `all` holds each LO-on sample once (2 B, int16): the
-        # selection compacts the run's own array and extraction writes
-        # its output as it is hashed.  A copied selection or a whole
-        # packed output each adds over 1 B per sample on this scale.
+    @pytest.mark.parametrize("command", ["all", "test"])
+    def test_run_memory_grows_by_the_lo_on_stream(self, command):
+        # A fresh `all` or `test` holds each LO-on sample once (2 B,
+        # int16): the selection compacts the run's own array and
+        # extraction writes its output as it is hashed (`test` hashes
+        # only the blocks its suite reads).  A copied selection or a
+        # whole packed output each adds over 1 B per sample on this scale.
         # VmHWM, not ru_maxrss: a child's ru_maxrss can include the peak of
         # the test process that spawned it.
         code = ("import re, sys; from vacqrng.cli import main; "
@@ -598,7 +666,7 @@ class TestCli:
         with tempfile.TemporaryDirectory() as tmp:
             for samples in (2_000_000, 6_000_000):
                 proc = subprocess.run(
-                    [sys.executable, "-c", code, "all", "--seed", "7",
+                    [sys.executable, "-c", code, command, "--seed", "7",
                      "--samples", str(samples), "--out", tmp],
                     env=env, capture_output=True, text=True, check=True)
                 peak_kib[samples] = int(proc.stdout.split()[-1])

@@ -155,6 +155,9 @@ COMMANDS = {
                          + "extractor_m = 60\nextractor_n = 203\n", 0),
     # no quantum noise: exits 3 after writing the loop's artifacts
     "degenerate_all": ("all", SYMMETRIC_SILENT, 3),
+    # the suite on the extracted blocks its sequences fill; the verdict
+    # and stdout equal those of `test --bits` on the small `all` below
+    "test_small": ("test", SMALL_CONFIG, 0),
 }
 COMMAND_PINS = {
     "simulate_raw": {
@@ -216,6 +219,15 @@ COMMAND_PINS = {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stderr": "3755699ea9761db19146d77d187baf8ed53d886afc9aa88ee8d2f1f31213948c",
     },
+    "test_small": {
+        "files": {
+            "extracted.bin": "293bc1b28a44b68ea1f10678bcefb5aa399a2ec0dbedb82169042e33e5447682",
+            "extractor_seed.bin": "449e5c7e51fc660431d6da4bf7fd4216d10dce4a5a580af80f1b7da9bf856292",
+            "verdict.json": "d7173cebdf470c778764f6e54915cca40dc0972e06d492cadad3c934b5cca338",
+        },
+        "stdout": "30e20cee4ccbe7f8ad95bc9639185e6bbb22f766851765fb4a5afc6d95560e2e",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
 }
 TEST_BITS_PINS = {
     "files": {
@@ -245,7 +257,7 @@ def test_command_artifacts_pinned(name, tmp_path):
 
 def test_bits_file_in_run_directory_pinned(small_all, tmp_path):
     """`test --bits` on a run's extracted.bin: the suite through
-    `read_packed`.  At m = 1920 the manifest's bit count fills the
+    `packed_bits`.  At m = 1920 the manifest's bit count fills the
     bytes; the tests of `test_config_pipeline` check the count rule."""
     run_dir, _ = small_all
     config = tmp_path / "small.txt"

@@ -12,10 +12,11 @@ import pytest
 from vacqrng import toeplitz
 from vacqrng.errors import ParameterError
 from vacqrng.toeplitz import (_CHUNK_BLOCKS, ExtractorParams, ToeplitzSeed,
-                              extract_block_dense, extract_stream,
-                              generate_test_seed, load_seed, pack_bits,
-                              save_seed, toeplitz_matrix, unpack_bits)
-from tests.bit_reference import dense_stream, hash_bit_rows, samples_to_bits
+                              extract_block_dense, generate_test_seed,
+                              load_seed, pack_bits, save_seed,
+                              toeplitz_matrix, unpack_bits, write_stream)
+from tests.bit_reference import (dense_stream, hash_bit_rows,
+                                 samples_to_bits, stream_bytes)
 
 
 def bits(s: str) -> np.ndarray:
@@ -98,8 +99,8 @@ class TestExtractBlock:
         seed = generate_test_seed(params, 6)
         with pytest.raises(ParameterError):
             extract_block_dense(bits("101"), seed, params)
-        assert extract_stream(bits("101"), seed, params,
-                              bits_per_sample=1).size == 0
+        assert stream_bytes(bits("101"), seed, params,
+                            bits_per_sample=1) == b""
 
     def test_gf2_linearity(self):
         params = ExtractorParams()
@@ -148,9 +149,10 @@ class TestExtractBlock:
 
 
 def stream_bits(samples, seed, params, bits_per_sample=12) -> np.ndarray:
-    """extract_stream's packed output, unpacked (padding bits included)."""
+    """write_stream's packed output, unpacked (padding bits included)."""
     return np.unpackbits(
-        extract_stream(samples, seed, params, bits_per_sample),
+        np.frombuffer(stream_bytes(samples, seed, params, bits_per_sample),
+                      dtype=np.uint8),
         bitorder="little")
 
 
@@ -217,9 +219,9 @@ class TestStream:
 
 
 class TestPackedStream:
-    """extract_stream's bytes equal pack_bits of the dense oracle's."""
+    """write_stream's bytes equal pack_bits of the dense oracle's."""
 
-    def test_multi_chunk_with_chunk_edge_inside_a_sample(self):
+    def test_multi_chunk_with_chunk_edge_inside_a_sample(self, tmp_path):
         # 4800 blocks > _CHUNK_BLOCKS, so the helper thread hashes chunks
         params = ExtractorParams(m=48, n=100)
         seed = generate_test_seed(params, 30)
@@ -227,9 +229,11 @@ class TestPackedStream:
         samples = rng.integers(-4000, 4000, size=40_003).astype(np.int16)
         assert samples.size * 12 // params.n > _CHUNK_BLOCKS
         assert _CHUNK_BLOCKS * params.n % 12
-        packed = extract_stream(samples, seed, params)
-        assert packed.dtype == np.uint8
-        assert packed.tobytes() == dense_stream(samples, seed, params)
+        path = tmp_path / "extracted.bin"
+        n_bits = write_stream(path, samples, seed, params)
+        assert n_bits == params.output_bits(samples.size * 12)
+        assert path.read_bytes() == dense_stream(samples, seed, params)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_odd_geometry_zero_padding(self):
         # m % 8 != 0, 11 bits per sample, and n_blocks * m % 8 != 0
@@ -240,9 +244,9 @@ class TestPackedStream:
         n_blocks = samples.size * 11 // params.n
         n_bits = params.output_bits(samples.size * 11)
         assert n_bits == n_blocks * params.m and n_bits % 8
-        packed = extract_stream(samples, seed, params, bits_per_sample=11)
-        assert packed.tobytes() == dense_stream(samples, seed, params, 11)
-        unpack_bits(packed.tobytes(), n_bits)  # checks the padding is zero
+        packed = stream_bytes(samples, seed, params, bits_per_sample=11)
+        assert packed == dense_stream(samples, seed, params, 11)
+        unpack_bits(packed, n_bits)  # checks the padding is zero
 
     @pytest.mark.parametrize("bits_per_sample", [1, 7, 16])
     def test_bits_per_sample_range(self, bits_per_sample):
@@ -250,9 +254,8 @@ class TestPackedStream:
         seed = generate_test_seed(params, 34)
         rng = np.random.default_rng(35)
         samples = rng.integers(-30000, 30000, size=301).astype(np.int16)
-        assert (extract_stream(samples, seed, params, bits_per_sample)
-                .tobytes() == dense_stream(samples, seed, params,
-                                           bits_per_sample))
+        assert (stream_bytes(samples, seed, params, bits_per_sample)
+                == dense_stream(samples, seed, params, bits_per_sample))
 
     def test_shifted_read_of_the_last_byte(self):
         # 12 samples of 16 bits are 16 blocks of n = 12 that end on the
@@ -261,7 +264,7 @@ class TestPackedStream:
         params = ExtractorParams(m=5, n=12)
         seed = generate_test_seed(params, 43)
         samples = np.arange(12, dtype=np.int16) * 977
-        assert (extract_stream(samples, seed, params, 16).tobytes()
+        assert (stream_bytes(samples, seed, params, 16)
                 == dense_stream(samples, seed, params, 16))
 
     @pytest.mark.parametrize("ones", [False, True])
@@ -277,7 +280,7 @@ class TestPackedStream:
         samples = (np.full(4_010, -1, dtype=np.int16) if ones
                    else rng.integers(-2048, 2048, size=4_010).astype(np.int16))
         assert samples.size * 12 // params.n == 20
-        assert (extract_stream(samples, seed, params).tobytes()
+        assert (stream_bytes(samples, seed, params)
                 == dense_stream(samples, seed, params))
 
     def test_one_shift_table(self):
@@ -289,11 +292,25 @@ class TestPackedStream:
                                       + 8 * math.ceil(params.m / 64))
         assert table.nbytes == 137_984
 
+    @pytest.mark.parametrize("samples, bits_per_sample", [
+        (np.zeros(8, dtype=np.int16), 0),
+        (np.zeros(8, dtype=np.int16), 17),
+        (np.zeros(8), 12),
+    ])
+    def test_stream_checked_before_writing(self, tmp_path, samples,
+                                           bits_per_sample):
+        params = ExtractorParams(m=8, n=24)
+        seed = generate_test_seed(params, 47)
+        with pytest.raises(ParameterError):
+            write_stream(tmp_path / "extracted.bin", samples, seed, params,
+                         bits_per_sample)
+        assert not any(tmp_path.iterdir())
+
     def test_empty_stream(self):
         params = ExtractorParams(m=8, n=24)
         seed = generate_test_seed(params, 36)
         samples = np.zeros(1, dtype=np.int16)
-        assert extract_stream(samples, seed, params).size == 0
+        assert stream_bytes(samples, seed, params) == b""
 
     def test_multi_chunk_under_fast_thread_switching(self):
         # each call's caller and helper split its chunks; three
@@ -311,7 +328,7 @@ class TestPackedStream:
         outputs = {}
 
         def run(k):
-            outputs[k] = extract_stream(samples, seed, params).tobytes()
+            outputs[k] = stream_bytes(samples, seed, params)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -328,7 +345,7 @@ class TestPackedStream:
         assert sorted(outputs) == [0, 1, 2]
         assert all(out == serial for out in outputs.values())
 
-    def test_one_chunk_starts_no_thread(self, monkeypatch):
+    def test_one_chunk_starts_no_thread(self, monkeypatch, tmp_path):
         params = ExtractorParams()
         seed = generate_test_seed(params, 39)
         rng = np.random.default_rng(40)
@@ -343,14 +360,15 @@ class TestPackedStream:
 
         monkeypatch.setattr(toeplitz, "_hash", counting_hash)
         before = threading.active_count()
-        packed = extract_stream(samples, seed, params)
+        path = tmp_path / "extracted.bin"
+        write_stream(path, samples, seed, params)
         assert counts == [(before, threading.current_thread())]
         assert threading.active_count() == before
-        assert packed.tobytes() == extract_stream(
-            samples_to_bits(samples), seed, params, bits_per_sample=1
-        ).tobytes()
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert path.read_bytes() == stream_bytes(
+            samples_to_bits(samples), seed, params, bits_per_sample=1)
 
-    def test_multi_chunk_uses_one_helper(self, monkeypatch):
+    def test_multi_chunk_uses_one_helper(self, monkeypatch, tmp_path):
         # control for the test above: past one chunk the helper does run
         params = ExtractorParams(m=16, n=24)
         seed = generate_test_seed(params, 41)
@@ -368,13 +386,14 @@ class TestPackedStream:
             return kernel(*args)
 
         monkeypatch.setattr(toeplitz, "_hash", recording_hash)
-        extract_stream(samples, seed, params)
+        write_stream(tmp_path / "extracted.bin", samples, seed, params)
+        assert [p.name for p in tmp_path.iterdir()] == ["extracted.bin"]
         assert len(threads) == 2
         assert threading.get_ident() in threads
         # the two threads share the chunks: each is hashed once
         assert sorted(calls) == [_CHUNK_BLOCKS] * 3
 
-    def test_error_on_caller_stops_the_helper(self, monkeypatch):
+    def test_error_on_caller_stops_the_helper(self, monkeypatch, tmp_path):
         # e.g. Ctrl-C, which lands on the caller's thread: the helper
         # finishes the chunk it holds and takes no other
         params = ExtractorParams(m=16, n=24)
@@ -397,8 +416,10 @@ class TestPackedStream:
 
         monkeypatch.setattr(toeplitz, "_hash", failing_hash)
         with pytest.raises(KeyboardInterrupt):
-            extract_stream(samples, seed, params)
+            write_stream(tmp_path / "extracted.bin", samples, seed, params)
         assert len(helper_calls) == 1
+        # neither the output nor its ".part" is left
+        assert not any(tmp_path.iterdir())
 
 
 class TestPackedBits:
