@@ -10,10 +10,12 @@ Subcommands:
   paper-repro  full pipeline; prints a comparison with the reference run
 
 The commands share `vacqrng.pipeline`'s stages: one admission rule (also
-run when a config is built), one LO-off rule, one extraction writer
-(`write_extracted`: `extract`, `test` and `all` write extracted.bin as it
-is hashed) and one suite reader (`suite_on_file`: `test`, `test --bits`
-and `all` read back only the bytes of the sequences they judge).
+run when a config is built), one run order (`simulate_pair`: `estimate`
+and `all` run LO off first), one extraction writer (`write_extracted`:
+`extract`, `test` and `all` write extracted.bin as it is hashed), one
+suite head (`suite_head`: `test`, `test --bits` and `all` read back only
+the bytes of the sequences they judge) and one JSON artifact writer
+(`write_json`).
 
 Exit codes: 0 success, 2 configuration/parameter errors, 3 data errors
 (e.g. no extractable entropy).
@@ -24,16 +26,17 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import PipelineConfig, load_config
-from .entropy import min_entropy_discretized
 from .errors import (ConfigError, DataError, NoExtractableEntropyError,
                      ParameterError)
-from .pipeline import (LoopSummary, estimate_entropy, noise_samples,
-                       packed_bits, paper_repro_table, run_pipeline,
-                       select_centered, simulate_run, suite_on_file,
-                       write_extracted, write_streams)
+from .pipeline import (LoopSummary, estimate_entropy, packed_bits,
+                       paper_repro_table, run_pipeline, select_centered,
+                       simulate_pair, simulate_run, suite_head,
+                       suite_on_file, write_extracted, write_json,
+                       write_streams)
 
 
 @functools.cache
@@ -54,8 +57,6 @@ def _parser() -> argparse.ArgumentParser:
                        help="override the master seed")
         p.add_argument("--samples", type=int, default=None,
                        help="override the LO-on sample count")
-        p.add_argument("--blocks", type=int, default=None,
-                       help="override the LO-on run length in blocks")
         p.add_argument("--out", type=Path, default=Path("vacqrng-out"),
                        help="artifact directory (default: ./vacqrng-out)")
         return p
@@ -87,30 +88,22 @@ def _cmd_simulate(args, config: PipelineConfig) -> int:
 
 
 def _cmd_estimate(args, config: PipelineConfig) -> int:
-    # LO off first: at 2e7 + 4e6 samples six in-process calls hold their
-    # peak RSS at 87.2-87.7 MB, where LO on first starts at 86.3 MB and
-    # steps up to 93.7-93.8 MB at the fifth call.
-    noise = noise_samples(config)
-    measured = select_centered(config, simulate_run(config))
-    report, budget = estimate_entropy(config, measured, noise)
+    noise, run = simulate_pair(config)
+    report, budget = estimate_entropy(config, select_centered(run), noise)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "entropy.json").write_text(report.to_json() + "\n")
-    print(report.to_json())
+    print(write_json(out / "entropy.json", asdict(report)), end="")
     print(f"leftover-hash budget: {budget} bits per "
           f"{config.extractor_n}-bit block (m = {config.extractor_m})")
     if config.extractor_m > budget:
         print("warning: configured m exceeds the measured budget; "
               "extraction at this geometry is not covered by the "
               "security parameter")
-    if config.discretized_entropy:
-        print(f"discretized-Gaussian variant: "
-              f"{min_entropy_discretized(report.sigma_q_sq):.4f} bits/sample")
     return 0
 
 
 def _cmd_extract(args, config: PipelineConfig) -> int:
-    samples = select_centered(config, simulate_run(config))
+    samples = select_centered(simulate_run(config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     n_bits = write_extracted(config, samples, out)
@@ -121,28 +114,26 @@ def _cmd_extract(args, config: PipelineConfig) -> int:
 
 def _cmd_test(args, config: PipelineConfig) -> int:
     out = Path(args.out)
-    length = config.sequence_length
     if args.bits is not None:
         path, n_bits = args.bits, packed_bits(args.bits)
     else:
-        samples = select_centered(config, simulate_run(config))
+        samples = select_centered(simulate_run(config))
         params = config.extractor_params()
         n_bits = params.output_bits(samples.size * config.adc_bits)
-    if n_bits < length:
+    head = suite_head(config, n_bits)
+    if not head:
         raise DataError(f"only {n_bits} bits available; need at least one "
-                        f"{length}-bit sequence")
+                        f"{config.sequence_length}-bit sequence")
     out.mkdir(parents=True, exist_ok=True)
     if args.bits is None:
-        # The suite reads whole sequences from the front of the output:
-        # hash only the blocks that hold them, from the front of the
-        # selection, and write them as `extract` does.
-        head = min(config.n_sequences, n_bits // length) * length
+        # Hash only the blocks that hold the suite's head, from the front
+        # of the selection, and write them as `extract` does.
         blocks = -(-head // params.m)
         path = out / "extracted.bin"
         n_bits = write_extracted(
             config, samples[:-(-blocks * params.n // config.adc_bits)], out)
     verdict = suite_on_file(path, n_bits, config)
-    (out / "verdict.json").write_text(verdict.to_json() + "\n")
+    write_json(out / "verdict.json", asdict(verdict))
     print(verdict.table())
     return 0
 
@@ -172,7 +163,7 @@ def main(argv=None) -> int:
                  (("master_seed", args.seed), ("samples", args.samples))
                  if value is not None}
     try:
-        config = load_config(args.config, args.blocks, **overrides)
+        config = load_config(args.config, **overrides)
         return _HANDLERS[args.command](args, config)
     except (ConfigError, ParameterError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -10,8 +10,8 @@ default operating point of the reference device (device losses and gains,
 [2043000, 2053000] with step 5, 1920x2400 extraction at epsilon = 2^-48).
 
 A single master seed derives all stream seeds through numpy's
-SeedSequence: generate_state(4) yields, in order, the LO-on chain seed,
-the LO-off chain seed, the extractor test-seed, and a spare.
+SeedSequence: generate_state(3) yields, in order, the LO-on chain seed,
+the LO-off chain seed and the extractor test-seed.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class PipelineConfig:
     step_c: int = 5
     dac_init: int = 8092
     invert_loop: bool = False
-    discard_unlocked: bool = False
 
     # extractor
     extractor_m: int = 1920
@@ -91,7 +90,6 @@ class PipelineConfig:
     samples: int = 10_000_000
     noise_samples: int = 2_000_000
     write_raw: bool = False
-    discretized_entropy: bool = False
 
     def _view(self, cls, prefix: str = "", **given):
         """A component built from this config: each init field of `cls`
@@ -121,10 +119,10 @@ class PipelineConfig:
 
     def stream_seeds(self) -> dict[str, int]:
         """Named per-stream seeds derived from the master seed."""
-        state = np.random.SeedSequence(self.master_seed).generate_state(
-            4, np.uint64)
-        return {"lo_on": int(state[0]), "lo_off": int(state[1]),
-                "extractor_seed": int(state[2]), "spare": int(state[3])}
+        lo_on, lo_off, extractor_seed = np.random.SeedSequence(
+            self.master_seed).generate_state(3, np.uint64).tolist()
+        return {"lo_on": lo_on, "lo_off": lo_off,
+                "extractor_seed": extractor_seed}
 
     def expected_h_min(self) -> float:
         """Min-entropy implied by the configured noise levels.
@@ -238,11 +236,9 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"field {key!r}: {exc}") from exc
 
 
-def parse_config_text(text: str, blocks: int | None = None,
-                      **overrides) -> PipelineConfig:
+def parse_config_text(text: str, **overrides) -> PipelineConfig:
     """Parse `key = value` lines into a PipelineConfig; `overrides` replace
-    parsed fields, and `blocks` sets `samples` to that many blocks of the
-    resulting `block_size_n`."""
+    parsed fields."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -256,14 +252,10 @@ def parse_config_text(text: str, blocks: int | None = None,
             raise ConfigError(f"line {lineno}: unknown field {key!r}")
         values[key] = _parse_value(key, raw)
     values.update(overrides)
-    if blocks is not None:
-        values["samples"] = blocks * values.get(
-            "block_size_n", PipelineConfig.block_size_n)
     return PipelineConfig(**values)
 
 
-def load_config(path=None, blocks: int | None = None,
-                **overrides) -> PipelineConfig:
+def load_config(path=None, **overrides) -> PipelineConfig:
     """Load a config file with parse_config_text's overrides; no path or
     an empty file yields the defaults."""
     text = ""
@@ -273,4 +265,4 @@ def load_config(path=None, blocks: int | None = None,
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text, blocks, **overrides)
+    return parse_config_text(text, **overrides)

@@ -13,9 +13,8 @@ m <= k - 2*log2(1/eps) then sizes the extractor output per input block.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,19 +70,6 @@ def min_entropy(sigma_m_sq: float, sigma_e_sq: float) -> float:
     return 0.5 * math.log2(2.0 * math.pi * sigma_q_sq)
 
 
-def min_entropy_discretized(sigma_q_sq: float, lsb_units: float = 1.0) -> float:
-    """Min-entropy of the quantum part after quantization to the LSB grid.
-
-    -log2 of the most probable code's mass for a centered Gaussian; a
-    comparison variant to the continuous formula, not the default path.
-    """
-    if sigma_q_sq <= 0:
-        raise NoExtractableEntropyError("nonpositive quantum variance")
-    sigma = math.sqrt(sigma_q_sq)
-    p_max = math.erf(0.5 * lsb_units / (sigma * math.sqrt(2.0)))
-    return -math.log2(p_max)
-
-
 def block_samples(n: int, bits_per_sample: int) -> int:
     """Whole samples in an n-bit input block, which must hold one."""
     samples = n // bits_per_sample
@@ -122,9 +108,6 @@ class EntropyReport:
     h_min_per_sample: float
     bits_per_raw_bit: float
     sample_count: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def build_report(measured_centered_half_lsb, noise_centered_half_lsb,

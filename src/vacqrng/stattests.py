@@ -27,10 +27,9 @@ tools via the packed-bitstream export.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +52,6 @@ class SuiteVerdict:
     n_sequences: int
     sequence_length: int
     beta: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def table(self) -> str:
         """Human-readable proportion table."""

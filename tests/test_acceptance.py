@@ -66,7 +66,7 @@ def extracted_hundred_meg(default_run, tmp_path_factory):
     config, run = default_run
     # The selection consumes the samples it is given: select from a copy,
     # so that criterion 6 still reads the run's own rows.
-    centered = select_centered(config, copied(run))
+    centered = select_centered(copied(run))
     out = tmp_path_factory.mktemp("criterion_8")
     n_bits = write_extracted(config, centered, out)
     assert n_bits >= 100_000_000
@@ -216,7 +216,7 @@ def test_criterion_6_centering(default_run):
     n = config.block_size_n
     worst_residual = int(np.abs(run.centered.sum(axis=1, dtype=np.int64))
                          .max())
-    stream = select_centered(config, copied(run))
+    stream = select_centered(copied(run))
     assert stream.size >= 10_000_000
     grand_mean_lsb = float(np.mean(stream[:10_000_000])) / 2.0
     ok = worst_residual <= n // 2 and abs(grand_mean_lsb) <= 0.05

@@ -232,7 +232,7 @@ class TestSeedsAndHash:
 
     def test_default_config_format_pinned(self):
         # config.txt of the defaults, whose hash every JSON artifact embeds
-        assert PipelineConfig().config_hash() == "eeaaa4ec556eb165"
+        assert PipelineConfig().config_hash() == "1fbc0983f67b0e78"
 
     def test_views_match_component_defaults(self):
         # PipelineConfig and each component spell out the reference defaults
@@ -383,15 +383,10 @@ class TestPipeline:
         config = PipelineConfig(**QUICK)
         run = simulate_run(config)
         # from the balance code the first block locks and none saturates,
-        # so only the lock filter can drop blocks
+        # so every block passes, the unlocked ones too
         assert run.first_locked() == 0 and not run.saturated.any()
-        locked_config = replace(config, discard_unlocked=True)
-        # the selection consumes the run's samples: each selects from a copy
-        full = select_centered(config, copied(run))
-        assert full.size == config.samples
-        locked_only = select_centered(locked_config, copied(run))
-        n_locked = int(run.locked.sum())
-        assert locked_only.size == n_locked * config.block_size_n
+        assert not run.locked.all()
+        assert select_centered(run).size == config.samples
         # blocks before the first lock and saturated blocks never pass
         locked = np.array([0, 0, 1, 0, 1, 0], dtype=bool)
         saturated = np.array([1, 0, 0, 1, 0, 0], dtype=bool)
@@ -399,15 +394,12 @@ class TestPipeline:
         synthetic = LoopRun(centered=rows, sums=rows[:, 0],
                             dac_before=rows[:, 0], dac_after=rows[:, 0],
                             locked=locked, saturated=saturated)
-        assert select_centered(config, copied(synthetic)).tolist() \
+        assert select_centered(synthetic).tolist() \
             == [2, 2, 4, 4, 5, 5]
-        assert select_centered(locked_config, copied(synthetic)).tolist() \
-            == [2, 2, 4, 4]
 
-    @pytest.mark.parametrize("discard_unlocked", [False, True])
-    def test_select_compacts_in_place(self, discard_unlocked):
-        # blocks before the first lock, saturated blocks after it and, with
-        # discard_unlocked, unlocked gaps: several runs of kept blocks
+    def test_select_compacts_in_place(self):
+        # blocks before the first lock and saturated blocks after it:
+        # several runs of kept blocks
         rng = np.random.default_rng(43)
         n_blocks, n = 2_000, 500
         locked = rng.random(n_blocks) < 0.6
@@ -420,16 +412,13 @@ class TestPipeline:
                       locked=locked, saturated=saturated)
         keep = ~saturated
         keep[:37] = False
-        if discard_unlocked:
-            keep &= locked
         expected = run.centered.copy()[keep].reshape(-1)
         assert run.centered.size >= 1_000_000
         assert not saturated[:37].all() and np.count_nonzero(
             np.diff(keep)) > 100
-        config = PipelineConfig(discard_unlocked=discard_unlocked)
         tracemalloc.start()
         try:
-            stream = select_centered(config, run)
+            stream = select_centered(run)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -449,25 +438,6 @@ class TestCli:
         assert (tmp_path / "out" / "entropy.json").exists()
         assert "leftover-hash budget" in capsys.readouterr().out
 
-    def test_simulate_command_blocks_flag(self, tmp_path, capsys):
-        code = main(["simulate", "--blocks", "50", "--out",
-                     str(tmp_path / "sim")])
-        assert code == 0
-        centered = np.frombuffer(
-            (tmp_path / "sim" / "centered.i16").read_bytes(), dtype="<i2")
-        assert centered.size == 50_000
-
-    def test_blocks_flag_counts_file_blocks(self, tmp_path, capsys):
-        # --blocks counts blocks of the file's block_size_n; the interval
-        # is the default one scaled to 500-sample blocks, so none warns
-        cfg = tmp_path / "half.cfg"
-        cfg.write_text("block_size_n = 500\n"
-                       "interval_a = 1021500\ninterval_b = 1026500\n")
-        out = tmp_path / "sim"
-        assert main(["simulate", "--config", str(cfg), "--blocks", "4",
-                     "--out", str(out)]) == 0
-        assert (out / "centered.i16").stat().st_size == 2 * 2_000
-
     def test_flags_apply_before_the_check(self, tmp_path, capsys):
         # the effective config is the one checked: a file count that a
         # flag replaces is never checked on its own
@@ -482,7 +452,7 @@ class TestCli:
         assert (out / "centered.i16").stat().st_size == 2 * 2_000
 
     @pytest.mark.parametrize("flags", [["all", "--seed", "3"],
-                                       ["simulate", "--blocks", "4"]])
+                                       ["simulate", "--samples", "4000"]])
     def test_load_time_warning_once(self, tmp_path, capsys, flags):
         # each command builds, and so checks, its config once
         cfg = tmp_path / "dac.cfg"
@@ -503,7 +473,7 @@ class TestCli:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("samples = 200000\nnoise_samples = 100000\n"
                        "dac_init = 5182\n")
-        assert main(["simulate", "--blocks", "5", "--out",
+        assert main(["simulate", "--samples", "5000", "--out",
                      str(tmp_path / "a")]) == 0
         assert main(["estimate", "--config", str(cfg), "--out",
                      str(tmp_path / "b")]) == 0
@@ -560,7 +530,7 @@ class TestCli:
         reference = tmp_path / "reference"
         reference.mkdir()
         n_bits = write_extracted(
-            config, select_centered(config, simulate_run(config)), reference)
+            config, select_centered(simulate_run(config)), reference)
         n_blocks = n_bits // config.extractor_m
         assert n_blocks > 2 * 8 and n_blocks % 8 and n_bits % 8
         assert (tmp_path / "out" / "extracted.bin").read_bytes() \
@@ -602,7 +572,7 @@ class TestCli:
                      "--out", str(whole)]) == 0
         assert main(["test", "--config", str(cfg), "--out", str(out)]) == 0
         total = config.extractor_params().output_bits(
-            select_centered(config, simulate_run(config)).size
+            select_centered(simulate_run(config)).size
             * config.adc_bits)
         length = config.sequence_length
         head = min(config.n_sequences, total // length) * length
@@ -636,7 +606,7 @@ class TestCli:
         cfg = tmp_path / "quick.cfg"
         cfg.write_text(config.to_text())
         total = config.extractor_params().output_bits(
-            select_centered(config, simulate_run(config)).size
+            select_centered(simulate_run(config)).size
             * config.adc_bits)
         assert 0 < total < config.sequence_length
         out = tmp_path / "out"
@@ -764,6 +734,27 @@ class TestCli:
             **entry, "sha256": "0" * 64, "bits": 20}}}))
         with pytest.raises(DataError, match="sha256"):
             pipeline.packed_bits(path)
+
+    @pytest.mark.parametrize("command, loops", [
+        ("simulate", ["on"]), ("extract", ["on"]), ("test", ["on"]),
+        ("estimate", ["off", "on"]), ("all", ["off", "on"])])
+    def test_loops_each_command_runs(self, tmp_path, monkeypatch, capsys,
+                                     command, loops):
+        # only `estimate` and `all` run the LO-off loop, and they run it
+        # first (simulate_pair)
+        loop = pipeline.run_closed_loop
+        seen = []
+
+        def recording_loop(*args, frozen=False, **kwargs):
+            seen.append("off" if frozen else "on")
+            return loop(*args, frozen=frozen, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_closed_loop", recording_loop)
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(PipelineConfig(**QUICK).to_text())
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert seen == loops
 
     def test_estimate_budget_matches_all(self, tmp_path, capsys):
         cfg = tmp_path / "quick.cfg"

@@ -34,8 +34,7 @@ MAX_BLOCKS = 400
 EDGE_KNOBS = ["block_size_n", "adc_bits", "dac_bits", "extractor_n",
               "interval", "extractor_m", "dac_init", "step_c", "p_lo",
               "sigma_vac", "sigma_e", "drift_rate_std", "invert_loop",
-              "discard_unlocked", "epsilon_log2", "sequence_length",
-              "n_sequences", "beta"]
+              "epsilon_log2", "sequence_length", "n_sequences", "beta"]
 
 # Configs that exited 2 only after both loops had run and written four
 # artifacts; the property must hold for each of them.
@@ -89,14 +88,12 @@ def configs(draw):
                         st.sampled_from([0.0, 0.05])),
         "drift_rate_std": pick("drift_rate_std", [0.05, 0.0], st.just(50.0)),
         "invert_loop": pick("invert_loop", [False], st.just(True)),
-        "discard_unlocked": pick("discard_unlocked", [False], st.just(True)),
         "epsilon_log2": pick("epsilon_log2", [48, 8], st.just(1)),
         "sequence_length": pick("sequence_length", [1000, 128],
                                 st.sampled_from([127, 100_000])),
         "n_sequences": pick("n_sequences", [1, 3], st.just(0)),
         "beta": pick("beta", [0.01, 0.3], st.just(1.0)),
         "write_raw": draw(st.booleans()),
-        "discretized_entropy": draw(st.booleans()),
     }
     # Leave some knobs at their defaults, so that the defaults meet the
     # drawn values too; the sample counts and the interval stay, to keep

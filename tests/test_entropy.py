@@ -1,16 +1,18 @@
 """Variance estimation, conditional min-entropy, extractor budget."""
 
+import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from vacqrng.config import PipelineConfig
 from vacqrng.entropy import (block_budget, build_report, min_entropy,
-                             min_entropy_discretized, sample_variance)
+                             sample_variance)
 from vacqrng.errors import NoExtractableEntropyError, ParameterError
-from vacqrng.pipeline import noise_samples, select_centered, simulate_run
+from vacqrng.pipeline import select_centered, simulate_pair, write_json
 
 
 class TestSampleVariance:
@@ -81,13 +83,6 @@ class TestMinEntropy:
         h = min_entropy(1000.0, 0.0)
         assert min_entropy(4000.0, 0.0) == pytest.approx(h + 1.0, abs=1e-12)
 
-    def test_discretized_variant_close_to_continuous(self):
-        # at wide sigma the discrete peak mass matches the density peak
-        sigma_q_sq = 1.86e5 - 166.09
-        cont = min_entropy(1.86e5, 166.09)
-        disc = min_entropy_discretized(sigma_q_sq)
-        assert disc == pytest.approx(cont, abs=0.01)
-
 
 def budget(h_min: float, samples_per_block: int, epsilon: float) -> int:
     """block_budget of a block of whole 12-bit samples."""
@@ -135,8 +130,8 @@ class TestEndToEnd:
         cfg = PipelineConfig(samples=2_000_000, noise_samples=1_000_000)
         # the samples `all` estimates from: LO-on blocks from the first
         # lock on, and the whole frozen LO-off run
-        measured = select_centered(cfg, simulate_run(cfg))
-        report = build_report(measured, noise_samples(cfg), adc_bits=12)
+        noise, run = simulate_pair(cfg)
+        report = build_report(select_centered(run), noise, adc_bits=12)
         assert report.h_min_per_sample == pytest.approx(10.08, abs=0.05)
         assert report.sigma_m_sq == pytest.approx(1.86e5, rel=0.02)
         assert report.sigma_e_sq == pytest.approx(166.09, rel=0.05)
@@ -145,12 +140,13 @@ class TestEndToEnd:
         assert report.bits_per_raw_bit == pytest.approx(
             report.h_min_per_sample / 12)
 
-    def test_report_serializes(self):
-        import json
+    def test_report_serializes(self, tmp_path):
         # start at the balance code so a short run has usable blocks
         cfg = PipelineConfig(samples=100_000, noise_samples=100_000,
                              dac_init=5182)
-        report = build_report(select_centered(cfg, simulate_run(cfg)),
-                              noise_samples(cfg))
-        payload = json.loads(report.to_json())
-        assert payload["sample_count"] == report.sample_count
+        noise, run = simulate_pair(cfg)
+        report = build_report(select_centered(run), noise)
+        text = write_json(tmp_path / "entropy.json", asdict(report))
+        assert (tmp_path / "entropy.json").read_text() == text
+        assert text.endswith("}\n")
+        assert json.loads(text) == asdict(report)

@@ -31,14 +31,14 @@ EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
 # `all --seed 7` at the default configuration.  Its two sample streams
 # are pinned in bench/expected.json alone, and read from there.
 DEFAULT_ALL = {
-    "config.txt": "eeaaa4ec556eb165e7602e803c63e80af4d66b0c78207afcc6e5c00a4e69f6ce",
-    "entropy.json": "c1dbb09937a611a9261e5d08782d0b0a280c6370722adbe3612d1daa44b5c150",
+    "config.txt": "1fbc0983f67b0e7856d3edf499c91fc68bc8659639e9f2a8eea2e4fb8ca14d2f",
+    "entropy.json": "c198a7657b778ba618e4079239f87972fb62558eb0db9c2c9b8a4b91a39c8397",
     "extracted.bin": "34f3c596bd57e7b2b43ee20d67332cafbe00739faaa011e4e672242318e8865a",
     "extractor_seed.bin": "449e5c7e51fc660431d6da4bf7fd4216d10dce4a5a580af80f1b7da9bf856292",
-    "manifest.json": "0cf00f29dd40e53e87ebf2efbbe3db7677e0856d6f99f32b0e35095df1efd476",
-    "summary.txt": "32fe70b0deb4e55f9b9fe43268ee37a8f9c1ffd2c4159f5249b2ad9a157128c7",
-    "trace.jsonl": "7e811d61614173e1201ddc8e5a04bdfaef3e9f49e46783db1d185362f7e7a015",
-    "verdict.json": "def16111ef599ab69cfe94a5e42f2111f92547caee0ba56f69a0d1fd9a5d077d",
+    "manifest.json": "cdbd4c5383127effc544dc1242560e46da28f90a6be094273f47554bb1ea420e",
+    "summary.txt": "20a73edb8bd6803d0710ff33bb4abf089a191fad83e3b262183ac99d3cd8b890",
+    "trace.jsonl": "2d6feccd37f648e1fd4abfff197b7224561900f30371fd645443ca75316ca6d4",
+    "verdict.json": "5d89a95dd3ed5fe67d4093261b88cd59ffbd24cf9349df86fd6d477d20a7a5fe",
 }
 
 # `all --seed 7` on a short warm-started run whose suite sequences are
@@ -54,15 +54,15 @@ beta = 0.3
 """
 SMALL_ALL = {
     "centered.i16": "47449cb7a61bf82dea10504e5e103dca1695384a23c0894b5b6e9ffcda664ee5",
-    "config.txt": "3d7529460ed9151cb6c9c5cd557715bc7b4ff84da1bf05b388a3d69517d6b678",
-    "entropy.json": "1e316568fc6ba84271e6fa9cbe0abc7651fb16feefae4e506918d5f9f605784a",
+    "config.txt": "4b21609e05c1330ec87a5815ef24b6e97f8e289406e9513b2e17b196d89c3c2e",
+    "entropy.json": "eca614742f2f979e96942946e538087f6f302e4bf249bdc30388ca8da40e50d2",
     "extracted.bin": "fe5c0fcac663531de95bd28ebc7f1a315baf322ae4d94fe7a4e9251514f6d8b9",
     "extractor_seed.bin": "449e5c7e51fc660431d6da4bf7fd4216d10dce4a5a580af80f1b7da9bf856292",
-    "manifest.json": "d6b1d24332a9fd11c3deef5dc5ac45d37be386e61df52afdbdd552fe74f178c8",
+    "manifest.json": "180500648f1a5b8e4112e49c69c4fe268f360bd6b16519f5dd5560becf53dd61",
     "noise_centered.i16": "9268ddfeffc4947159006c698925670efb25d50d10792338f00c702bbed81097",
-    "summary.txt": "36523373d86bab84f28f12ef6c02bbefc3aec6265ef2b3a0130a4781b01ecee0",
-    "trace.jsonl": "428d2248c110556d6aabb6736b89c16f6c1cd39225bd9d095176018ccdf11577",
-    "verdict.json": "d1168d8954483b5dff2d0be24b79556c7962df14bb62b28bd4f463f3cb35549a",
+    "summary.txt": "f3b00c62ae355dc0796cd3666c0357a93d11fae4b515cb9e4b8447ea71077f3f",
+    "trace.jsonl": "ef902647a34f0dbaac78a7a1aa2f9431d8e03a4c1dbd1e43b4f62bf1966acf7a",
+    "verdict.json": "1e1f89377e68a7299db50211dedd3ac57cc12f688ee6f6dd37a119f0d79d6f74",
 }
 
 
@@ -164,7 +164,7 @@ COMMAND_PINS = {
         "files": {
             "centered.i16": "47449cb7a61bf82dea10504e5e103dca1695384a23c0894b5b6e9ffcda664ee5",
             "raw_codes.u16": "76ba795404b75fd1636c0ddeae9a811bfce0d5984db720b228540b5cf2d679e4",
-            "trace.jsonl": "c58b0112fcbbf632d01189a971599e9f2265cfafb4d6ba1c4329097dac54cad8",
+            "trace.jsonl": "21aa1eebc5ad6841630ce4cd1a0c8a08f2e7d159f2e8f3e56986e75e5556531e",
         },
         "stdout": "97bbf78422a5f7bfaef55ef68392462f30a54d650dfc95c91d94d03033ab4f13",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -172,7 +172,7 @@ COMMAND_PINS = {
     "simulate_inverted": {
         "files": {
             "centered.i16": "8e64f92c2360d6b80695cca0146cac53b59ec7642e1a9d6a8e0bb415c915175e",
-            "trace.jsonl": "16bb6813ac5a6acb2fbad86df30a018467a8d5b58a18198b477c9a6075dbe9ab",
+            "trace.jsonl": "0d94cc5464887c810ab179aa0d3522d4d778d7c60be5d5c4e495a7c690bf9510",
         },
         "stdout": "22ff8fab978f159ab34c2783f2e881067ae42549914d98a5f726f11e0ffc0b69",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -195,26 +195,26 @@ COMMAND_PINS = {
     "odd_geometry_all": {
         "files": {
             "centered.i16": "47449cb7a61bf82dea10504e5e103dca1695384a23c0894b5b6e9ffcda664ee5",
-            "config.txt": "4a35cc809f7e4f71e5b10bc7fbfd26d5ad7963ca1467d0d6cb119e387488c84a",
-            "entropy.json": "b80cf7141d4a0c22c1ca4e87f8daf7d6d33af4a39027233f0d5303e4aa145220",
+            "config.txt": "064f3157cf5adb3dfa25ba4179bc1db834140eb34eb6aea554470f6240a3f151",
+            "entropy.json": "2de7eaa8879404b9f0b8a9de34d2703bcb273ec211e2e06c3be48bb3c96abfd0",
             "extracted.bin": "d669562f4eca9d21dd3b2fd02837c603ec6b46d7c5e0e21ac2f6f5676b5fa039",
             "extractor_seed.bin": "b38511a792e2cdae156bd22e2d14f5a911d4f9e28762f619159e18c0c9bfe4b2",
-            "manifest.json": "23e4abd3b9e01d7ac786c237a27f6243b50a52dbbfdf00291e2d1f861ca78adb",
+            "manifest.json": "f6441124ee0854da752205f07f1af003402c92587b81ce13b4cc842a6b11f452",
             "noise_centered.i16": "9268ddfeffc4947159006c698925670efb25d50d10792338f00c702bbed81097",
-            "summary.txt": "1d72caea209bcba61001fdda5bcefcdf501209dc283a04b04a1f153b26576826",
-            "trace.jsonl": "39648d0a39ca53ac5718b31b2a253463c279fcd772d0e68cf08dc5b77c443bd4",
-            "verdict.json": "7cf361c3bae1adb8be6a10a4207ed046470e75fea8490268b9f65d7d569738be",
+            "summary.txt": "178d4761d7cda029ba669ee7a0e2e0109a91bb1889c37a7b1cc81ea9d92725c1",
+            "trace.jsonl": "83d84a6b8b7f56b0c21e61dd8865696f5cdc13f36fd2d90ef17274119a0b3bce",
+            "verdict.json": "2c4e87337a61899522f4f2f8d48ccf7b4e8c9453f6dd217a9138c116bc6e2fb5",
         },
-        "stdout": "1d72caea209bcba61001fdda5bcefcdf501209dc283a04b04a1f153b26576826",
+        "stdout": "178d4761d7cda029ba669ee7a0e2e0109a91bb1889c37a7b1cc81ea9d92725c1",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
     "degenerate_all": {
         "files": {
             "centered.i16": "9192c25b734fcbadbe32dadc28089c60db0e39f90cc20ce2e5733f57261acc0c",
-            "config.txt": "2f7aae75c3cc98f8cacb3f708fe2a642ac0f9ffba67cecbfc0635777e2a5525f",
-            "manifest.json": "d8741f502ede928d43b6241a03df71d1b1d8b3bc6684116f1e22f0a20c812107",
+            "config.txt": "c35d2a927de90d676dfe395612617dc58b76df96f7afd23ca21060ea8cf2472a",
+            "manifest.json": "5fa244ba4c087e79a976f6104ebdd3080cdf6a62e743578048ada641c75c4df5",
             "noise_centered.i16": "9192c25b734fcbadbe32dadc28089c60db0e39f90cc20ce2e5733f57261acc0c",
-            "trace.jsonl": "4696c83ba1360ef2fce02d4400921f9a78d6d366948e1a9e41f42d7222421891",
+            "trace.jsonl": "082e711b320b00de9c2a763e551ed6121315dd4f72fa7240c8932824172259b8",
         },
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stderr": "3755699ea9761db19146d77d187baf8ed53d886afc9aa88ee8d2f1f31213948c",

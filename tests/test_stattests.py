@@ -3,10 +3,12 @@ calibration, the pass-proportion rule, and the standard-library special
 functions against scipy."""
 
 import gc
+import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from scipy import special
 
 import vacqrng
 from vacqrng.errors import DataError, ParameterError
+from vacqrng.pipeline import write_json
 from vacqrng.stattests import (DEFAULT_BETA, _gammaincc, _max_excursion,
                                _ndtr, _words, approximate_entropy_test,
                                block_frequency_test, cumulative_sums_test,
@@ -287,11 +290,11 @@ class TestRunSuite:
             run_suite(*pack(prng_bits(1000)), sequence_length=1000,
                       n_sequences=2)
 
-    def test_verdict_serializes_and_tabulates(self):
-        import json
+    def test_verdict_serializes_and_tabulates(self, tmp_path):
         verdict = run_suite(*pack(prng_bits(500_000, seed=6)),
                             sequence_length=100_000, n_sequences=5)
-        payload = json.loads(verdict.to_json())
+        payload = json.loads(write_json(tmp_path / "verdict.json",
+                                        asdict(verdict)))
         assert set(payload["proportions"]) == {
             "monobit", "block_frequency", "runs", "cumulative_sums",
             "approximate_entropy"}
